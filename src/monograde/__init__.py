@@ -22,7 +22,7 @@ from .grading import (CyclicProduct, FiniteTable, GradingError, GradingSpec,
                       parity_functions_of_table, parity_of)
 from .morphism import (Atlas, DomainSpec, Morphism, MorphismError,
                        check_cocycle, check_homomorphism, compose,
-                       continuation, split_model, underlying_map)
+                       continuation, split_model)
 from .reporting import CheckReport
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "k_add", "k_element", "k_embed", "k_eq", "k_mul", "k_normalize",
     "k_parity", "k_sequence", "parity_functions_of_table", "parity_of",
     "parse_element", "parse_poly", "qk_verify", "render_element",
-    "render_poly", "split_model", "underlying_map",
+    "render_poly", "split_model",
 ]
 
 __version__ = "0.1.0"

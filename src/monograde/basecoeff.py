@@ -9,14 +9,16 @@ graded layer can be asserted with `==` instead of tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class BasePoly:
     """A polynomial in x1..xn over Q, stored as exponent-tuple -> coefficient.
 
-    Values are immutable; no zero coefficient is ever stored and term keys
-    are kept in a fixed sorted order, so structural equality is semantic
-    equality.
+    Values are immutable and no zero coefficient is ever stored, so
+    structural equality is semantic equality.  Terms are kept in no
+    particular order: dict equality and the frozenset hash ignore it, and
+    renderers sort the terms themselves.
     """
 
     __slots__ = ("nvars", "terms")
@@ -39,7 +41,17 @@ class BasePoly:
                         clean[exps] = c
                     else:
                         clean.pop(exps, None)
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> "BasePoly":
+        """Trusted constructor for results of internal arithmetic: `terms`
+        maps exponent tuples of length nvars to nonzero Fractions, and the
+        new polynomial takes ownership of the dict."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("BasePoly is immutable")
@@ -52,7 +64,10 @@ class BasePoly:
 
     @classmethod
     def const(cls, nvars: int, value) -> "BasePoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        if nvars < 0:
+            raise ValueError("nvars must be >= 0")
+        value = Fraction(value)
+        return cls._raw(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def var(cls, nvars: int, mu: int) -> "BasePoly":
@@ -60,7 +75,7 @@ class BasePoly:
         if not 1 <= mu <= nvars:
             raise ValueError("variable index %d out of range 1..%d" % (mu, nvars))
         exps = tuple(1 if k == mu - 1 else 0 for k in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._raw(nvars, {exps: Fraction(1)})
 
     # -- ring structure -------------------------------------------------
 
@@ -79,18 +94,13 @@ class BasePoly:
         if other is None:
             return NotImplemented
         acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = acc.get(exps, Fraction(0)) + coeff
-            if c:
-                acc[exps] = c
-            else:
-                acc.pop(exps, None)
-        return BasePoly(self.nvars, acc)
+        add_terms(acc, other.terms)
+        return BasePoly._raw(self.nvars, strip_zeros(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BasePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return BasePoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -105,16 +115,9 @@ class BasePoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = acc.get(exps, Fraction(0)) + c1 * c2
-                if c:
-                    acc[exps] = c
-                else:
-                    acc.pop(exps, None)
-        return BasePoly(self.nvars, acc)
+        acc: dict = {}
+        add_product(acc, self.terms, other.terms)
+        return BasePoly._raw(self.nvars, strip_zeros(acc))
 
     __rmul__ = __mul__
 
@@ -135,7 +138,7 @@ class BasePoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, tuple(self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -181,13 +184,11 @@ class BasePoly:
         if not 1 <= mu <= self.nvars:
             raise ValueError("variable index %d out of range 1..%d" % (mu, self.nvars))
         k = mu - 1
-        acc = {}
-        for exps, coeff in self.terms.items():
-            if exps[k] == 0:
-                continue
-            lowered = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-            acc[lowered] = acc.get(lowered, Fraction(0)) + coeff * exps[k]
-        return BasePoly(self.nvars, acc)
+        # lowering x_mu is injective on the terms that contain it, so no
+        # two terms merge and no coefficient vanishes
+        return BasePoly._raw(self.nvars, {
+            exps[:k] + (exps[k] - 1,) + exps[k + 1:]: coeff * exps[k]
+            for exps, coeff in self.terms.items() if exps[k]})
 
     def eval(self, point) -> Fraction:
         point = [Fraction(c) for c in point]
@@ -213,18 +214,22 @@ class BasePoly:
         if len(replacements) != self.nvars:
             raise ValueError("need %d replacement polynomials" % self.nvars)
         if self.nvars == 0:
-            return BasePoly(0, dict(self.terms))
+            return self
         m = replacements[0].nvars
         if any(r.nvars != m for r in replacements):
             raise ValueError("replacements disagree on variable count")
-        out = BasePoly.zero(m)
+        acc: dict = {}
+        powers: dict = {}
         for exps, coeff in self.terms.items():
             term = BasePoly.const(m, coeff)
-            for r, e in zip(replacements, exps):
+            for mu, e in enumerate(exps):
                 if e:
-                    term = term * r ** e
-            out = out + term
-        return out
+                    power = powers.get((mu, e))
+                    if power is None:
+                        power = powers[(mu, e)] = replacements[mu] ** e
+                    term = term * power
+            add_terms(acc, term.terms)
+        return BasePoly._raw(m, strip_zeros(acc))
 
     def taylor_shift(self, center) -> "BasePoly":
         """Rewrite in powers of (x - c): returns h with h(X) = self(X + c),
@@ -236,3 +241,34 @@ class BasePoly:
         shifted = [BasePoly.var(self.nvars, mu + 1) + BasePoly.const(self.nvars, c)
                    for mu, c in enumerate(center)]
         return self.compose(shifted)
+
+
+# -- term-dict kernels ---------------------------------------------------------
+#
+# Arithmetic accumulates into plain dicts mapping exponent tuples to
+# Fractions and strips zero coefficients once, when the sum is complete.
+
+def add_terms(acc: dict, terms: dict) -> None:
+    """Add terms into acc, in place."""
+    get = acc.get
+    for exps, coeff in terms.items():
+        prev = get(exps)
+        acc[exps] = coeff if prev is None else prev + coeff
+
+
+def add_product(acc: dict, terms1: dict, terms2: dict, negate: bool = False) -> None:
+    """Add the product of two term dicts into acc, in place, negated when
+    asked."""
+    get = acc.get
+    items2 = list(terms2.items())
+    for e1, c1 in terms1.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in items2:
+            exps = tuple(map(add, e1, e2))
+            prev = get(exps)
+            acc[exps] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def strip_zeros(acc: dict) -> dict:
+    return {exps: coeff for exps, coeff in acc.items() if coeff}

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .galgebra import GradedElement
+from .basecoeff import BasePoly
+from .galgebra import GradedElement, TermSum
 from .grading import (KGroupElement, k_add, k_element, k_embed, k_eq,
                       k_mul, k_parity)
 from .morphism import DomainSpec
@@ -68,7 +69,10 @@ class Derivation:
             (grading.parity(grading.mul(degree.pos, g.degree))
              + grading.parity(grading.mul(degree.neg, g.degree))) % 2
             for g in spec.generators)
+        # Leibniz extension per word, and base value times word per
+        # (coordinate, word), keyed by exponent vector; values never change
         self._word_cache: dict = {}
+        self._value_word_cache: dict = {}
 
     @staticmethod
     def _check_value(spec, grading, v, degree, coord_deg, what):
@@ -101,30 +105,35 @@ class Derivation:
         return Derivation(DomainSpec(self.domain.genspec, box), self.degree,
                           self.base_values, self.gen_values)
 
-    def _gen_element(self, pos: int) -> GradedElement:
-        return GradedElement.gen(self.domain.genspec, pos)
-
-    def _word_element(self, occ) -> GradedElement:
+    def _word_element(self, beta) -> GradedElement:
         spec = self.domain.genspec
-        beta = [0] * spec.ngens
-        for g in occ:
-            beta[g] += 1
-        return GradedElement(spec, {tuple(beta): 1})
+        return GradedElement._raw(spec, {beta: BasePoly.const(spec.nvars, 1)})
 
-    def _word_derivative(self, occ) -> GradedElement:
-        """Leibniz extension over an ascending occurrence word."""
+    def _value_word(self, mu: int, beta) -> GradedElement:
+        """The value on x_mu times the word with exponent vector beta."""
+        key = (mu, beta)
+        out = self._value_word_cache.get(key)
+        if out is None:
+            out = self.base_values[mu] * self._word_element(beta)
+            self._value_word_cache[key] = out
+        return out
+
+    def _word_derivative(self, beta) -> GradedElement:
+        """Leibniz extension over a word, peeling off its first generator
+        in canonical order."""
+        out = self._word_cache.get(beta)
+        if out is not None:
+            return out
         spec = self.domain.genspec
-        occ = tuple(occ)
-        if occ in self._word_cache:
-            return self._word_cache[occ]
-        if not occ:
+        g = next((g for g, e in enumerate(beta) if e), None)
+        if g is None:
             out = GradedElement.zero(spec)
         else:
-            g, rest = occ[0], occ[1:]
+            rest = beta[:g] + (beta[g] - 1,) + beta[g + 1:]
             out = self.gen_values[g] * self._word_element(rest)
-            tail = self._gen_element(g) * self._word_derivative(rest)
+            tail = GradedElement.gen(spec, g) * self._word_derivative(rest)
             out = out - tail if self._sign_bits[g] else out + tail
-        self._word_cache[occ] = out
+        self._word_cache[beta] = out
         return out
 
     def __call__(self, f: GradedElement) -> GradedElement:
@@ -134,26 +143,21 @@ class Derivation:
         spec = self.domain.genspec
         if f.spec != spec:
             raise CalculusError("element does not live over the derivation's domain")
-        out = GradedElement.zero(spec)
+        total = TermSum(spec)
         for beta, poly in f.terms.items():
-            occ = []
-            for g, e in enumerate(beta):
-                occ.extend([g] * e)
-            word = self._word_element(occ)
             # chain rule on the coefficient; base coordinates have degree 0,
             # so no sign appears in front of the second Leibniz summand
             for mu in range(spec.nvars):
-                dv = self.base_values[mu]
-                if dv.is_zero():
+                if self.base_values[mu].is_zero():
                     continue
                 dp = poly.partial(mu + 1)
                 if dp.is_zero():
                     continue
-                out = out + GradedElement.scalar(spec, dp) * dv * word
-            wd = self._word_derivative(occ)
+                total.add(self._value_word(mu, beta), dp)
+            wd = self._word_derivative(beta)
             if not wd.is_zero():
-                out = out + GradedElement.scalar(spec, poly) * wd
-        return out
+                total.add(wd, poly)
+        return total.element()
 
     def __eq__(self, other):
         if not isinstance(other, Derivation) or self.domain != other.domain:
@@ -249,12 +253,8 @@ def _exponents_up_to(nvars: int, total: int):
     return sorted((e for e in out if sum(e) <= total), key=lambda e: (sum(e), e))
 
 
-def _expected_k_degree(grading, pos, neg) -> KGroupElement:
-    return k_element(grading, pos, neg)
-
-
 def _require_degree(grading, deriv: Derivation, pos, neg, what: str):
-    want = _expected_k_degree(grading, pos, neg)
+    want = k_element(grading, pos, neg)
     if not k_eq(grading, deriv.degree, want):
         raise CalculusError("%s must have degree %s-%s" % (what, pos, neg))
 
@@ -283,7 +283,6 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
 
     rep = CheckReport("qk structure check")
     rng = Random(seed)
-    from .basecoeff import BasePoly
     base_monomials = _exponents_up_to(spec.nvars, 2)
     probes = []
     for w in spec.words_up_to(max_word):

@@ -13,7 +13,8 @@ import sys
 
 from .calculus import (CalculusError, NotQClosed, bracket, check_descent,
                        check_exact, k_sequence, qk_verify)
-from .expr import ExprError, parse_element, render_element, render_poly
+from .expr import (ExprError, parse_element, render_element, render_generator,
+                   render_poly)
 from .galgebra import AlgebraError, NotInvertible
 from .grading import (GradingError, check_parity_cardinality, format_k)
 from .morphism import (MorphismError, RangeViolation, check_cocycle,
@@ -53,9 +54,9 @@ def _derivation_lines(deriv) -> list:
     lines = ["degree: %s" % format_k(spec.grading, deriv.degree)]
     for mu in range(spec.nvars):
         lines.append("x%d -> %s" % (mu + 1, render_element(deriv.base_values[mu])))
-    for pos, g in enumerate(spec.generators):
-        tok = g.name or "th[%s,%d]" % (spec.grading.format_element(g.degree), g.index)
-        lines.append("%s -> %s" % (tok, render_element(deriv.gen_values[pos])))
+    for pos in range(spec.ngens):
+        lines.append("%s -> %s" % (render_generator(spec, pos),
+                                   render_element(deriv.gen_values[pos])))
     return lines
 
 
@@ -64,9 +65,9 @@ def _morphism_lines(m) -> list:
     lines = []
     for mu, y in enumerate(m.base_images):
         lines.append("x%d -> %s" % (mu + 1, render_element(y)))
-    for pos, g in enumerate(spec.generators):
-        tok = g.name or "th[%s,%d]" % (spec.grading.format_element(g.degree), g.index)
-        lines.append("%s -> %s" % (tok, render_element(m.gen_images[pos])))
+    for pos in range(spec.ngens):
+        lines.append("%s -> %s" % (render_generator(spec, pos),
+                                   render_element(m.gen_images[pos])))
     return lines
 
 

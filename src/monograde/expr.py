@@ -11,8 +11,9 @@ Grammar (no implicit multiplication):
 where `variable` is x1..xn, `generator` is th[degree,index] with the degree
 an integer or a tuple literal like (1,0), and NAME is a declared generator
 name.  Rendering emits terms sorted by generator word (short words first),
-then by base monomial in descending graded-lexicographic order; parsing the
-rendered form reproduces the element exactly.
+then by base monomial in descending graded-lexicographic order; this is the
+only place the canonical term order is applied, and parsing the rendered
+form reproduces the element exactly.
 """
 
 from __future__ import annotations
@@ -263,10 +264,18 @@ def render_poly(poly: BasePoly) -> str:
                        for exps, coeff in _poly_terms_desc(poly))
 
 
-def _degree_token(spec: GeneratorSpec, degree) -> str:
+def render_generator(spec: GeneratorSpec, pos: int) -> str:
+    """The token of the generator at a canonical position: its declared
+    name, or th[degree,index] with the degree written the way the parser
+    reads it (a finite table's element index, not its display name)."""
+    g = spec.generators[pos]
+    if g.name:
+        return g.name
     if isinstance(spec.grading, FiniteTable):
-        return str(degree)
-    return spec.grading.format_element(degree)
+        degree = str(g.degree)
+    else:
+        degree = spec.grading.format_element(g.degree)
+    return "th[%s,%d]" % (degree, g.index)
 
 
 def _word_factors(spec: GeneratorSpec, beta) -> list:
@@ -274,8 +283,7 @@ def _word_factors(spec: GeneratorSpec, beta) -> list:
     for pos, e in enumerate(beta):
         if not e:
             continue
-        g = spec.generators[pos]
-        tok = g.name if g.name else "th[%s,%d]" % (_degree_token(spec, g.degree), g.index)
+        tok = render_generator(spec, pos)
         out.append(tok if e == 1 else "%s^%d" % (tok, e))
     return out
 
@@ -296,11 +304,14 @@ def _join_terms(parts) -> str:
 
 
 def render_element(element: GradedElement) -> str:
+    """The canonical text of an element: words in canonical order (short
+    words first), each word's base monomials in descending graded order."""
     spec = element.spec
     if element.is_zero():
         return "0"
     flat = []
-    for beta, poly in element.terms.items():
+    for beta, poly in sorted(element.terms.items(),
+                             key=lambda kv: spec.word_key(kv[0])):
         word = _word_factors(spec, beta)
         for exps, coeff in _poly_terms_desc(poly):
             flat.append((coeff, _monomial_factors(exps) + word))

@@ -4,7 +4,14 @@ Elements are finite sums  coefficient * generator-word  with `BasePoly`
 coefficients, kept in a normal form: generator words sorted into canonical
 order with the commutation sign picked up per transposition, squares of
 odd generators annihilated, and words longer than the truncation order
-dropped (with an audit flag recording that a drop happened).
+dropped (with an audit flag recording that a drop happened).  The terms of
+an element are stored in no particular order; the canonical term order
+(short words first) is applied only when an element is rendered.
+
+Outside input goes through the validating `GradedElement` constructor.
+Results of internal arithmetic are assembled by `TermSum`, which adds and
+multiplies coefficient dicts in one pass and builds the result through
+the trusted `_raw` constructor.
 
 The commutation sign between homogeneous pieces of degrees i and j is
 (-1)**parity(i*j), using the grading monoid's product; this is not in
@@ -18,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basecoeff import BasePoly
+from .basecoeff import BasePoly, add_product, add_terms, strip_zeros
 from .grading import GradingSpec
 
 
@@ -233,9 +240,21 @@ class GradedElement:
                     clean.pop(beta, None)
                 else:
                     clean[beta] = total
-        ordered = dict(sorted(clean.items(), key=lambda kv: spec.word_key(kv[0])))
-        object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "truncated", bool(truncated))
+
+    @classmethod
+    def _raw(cls, spec: GeneratorSpec, terms: dict,
+             truncated: bool = False) -> "GradedElement":
+        """Trusted constructor for results of internal arithmetic: `terms`
+        maps admissible exponent vectors no longer than the truncation
+        order to nonzero `BasePoly` coefficients over spec.nvars variables,
+        and the new element takes ownership of the dict."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "spec", spec)
+        object.__setattr__(element, "terms", terms)
+        object.__setattr__(element, "truncated", truncated)
+        return element
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedElement is immutable")
@@ -244,7 +263,7 @@ class GradedElement:
 
     @classmethod
     def zero(cls, spec: GeneratorSpec) -> "GradedElement":
-        return cls(spec)
+        return cls._raw(spec, {})
 
     @classmethod
     def one(cls, spec: GeneratorSpec) -> "GradedElement":
@@ -254,7 +273,10 @@ class GradedElement:
     def scalar(cls, spec: GeneratorSpec, value) -> "GradedElement":
         if not isinstance(value, BasePoly):
             value = BasePoly.const(spec.nvars, value)
-        return cls(spec, {(0,) * spec.ngens: value})
+        elif value.nvars != spec.nvars:
+            raise AlgebraError("coefficient has %d variables, expected %d"
+                               % (value.nvars, spec.nvars))
+        return cls._raw(spec, {(0,) * spec.ngens: value} if value else {})
 
     @classmethod
     def variable(cls, spec: GeneratorSpec, mu: int) -> "GradedElement":
@@ -265,7 +287,7 @@ class GradedElement:
         if not 0 <= pos < spec.ngens:
             raise AlgebraError("generator position %d out of range" % pos)
         beta = tuple(1 if g == pos else 0 for g in range(spec.ngens))
-        return cls(spec, {beta: BasePoly.const(spec.nvars, 1)})
+        return cls._raw(spec, {beta: BasePoly.const(spec.nvars, 1)})
 
     @classmethod
     def from_raw_terms(cls, spec: GeneratorSpec, raw_terms) -> "GradedElement":
@@ -297,15 +319,16 @@ class GradedElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        items = list(self.terms.items()) + list(other.terms.items())
-        return GradedElement(self.spec, items,
-                             truncated=self.truncated or other.truncated)
+        total = TermSum(self.spec)
+        total.add(self)
+        total.add(other)
+        return total.element()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedElement(self.spec, {b: -p for b, p in self.terms.items()},
-                             truncated=self.truncated)
+        return GradedElement._raw(self.spec, {b: -p for b, p in self.terms.items()},
+                                  self.truncated)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -320,30 +343,9 @@ class GradedElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        spec = self.spec
-        N = spec.truncation
-        truncated = self.truncated or other.truncated
-        acc: dict = {}
-        for b1, p1 in self.terms.items():
-            w1 = sum(b1)
-            for b2, p2 in other.terms.items():
-                sw = _word_product(spec, b1, b2)
-                if sw is None:
-                    continue
-                if w1 + sum(b2) > N:
-                    truncated = True
-                    continue
-                sign, beta = sw
-                prod = p1 * p2
-                if sign:
-                    prod = -prod
-                prev = acc.get(beta)
-                total = prod if prev is None else prev + prod
-                if total.is_zero():
-                    acc.pop(beta, None)
-                else:
-                    acc[beta] = total
-        return GradedElement(spec, acc, truncated=truncated)
+        total = TermSum(self.spec)
+        total.add_product(self, other)
+        return total.element()
 
     __rmul__ = __mul__
 
@@ -365,8 +367,9 @@ class GradedElement:
         return self._scale(Fraction(1) / Fraction(scalar))
 
     def _scale(self, c: Fraction):
-        return GradedElement(self.spec, {b: p * c for b, p in self.terms.items()},
-                             truncated=self.truncated)
+        total = TermSum(self.spec)
+        total.add(self, BasePoly.const(self.spec.nvars, c))
+        return total.element()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, BasePoly)):
@@ -375,7 +378,7 @@ class GradedElement:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.spec, tuple(self.terms.items())))
+        return hash((self.spec, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .expr import render_element
@@ -409,14 +412,15 @@ class GradedElement:
         c = b.constant_value()
         cinv = Fraction(1) / c
         u = (self - GradedElement.scalar(self.spec, c))._scale(cinv)
-        out = GradedElement.one(self.spec)
+        out = TermSum(self.spec)
+        out.add(GradedElement.one(self.spec))
         power = GradedElement.one(self.spec)
         for k in range(1, self.spec.truncation + 1):
             power = power * u
             if power.is_zero():
                 break
-            out = out + (-power if k % 2 else power)
-        return out._scale(cinv)
+            out.add(-power if k % 2 else power)
+        return out.element()._scale(cinv)
 
     # -- grading -----------------------------------------------------------
 
@@ -424,7 +428,7 @@ class GradedElement:
         i = self.spec.grading.check_element(i)
         picked = {b: p for b, p in self.terms.items()
                   if self.spec.word_degree(b) == i}
-        return GradedElement(self.spec, picked, truncated=self.truncated)
+        return GradedElement._raw(self.spec, picked, self.truncated)
 
     def degrees(self):
         return {self.spec.word_degree(b) for b in self.terms}
@@ -460,8 +464,9 @@ class GradedElement:
             kept = {e: c for e, c in shifted.terms.items() if sum(e) <= k - w}
             if not kept:
                 continue
-            acc[beta] = BasePoly(self.spec.nvars, kept).taylor_shift(neg)
-        return GradedElement(self.spec, acc, truncated=self.truncated)
+            # shifting back is invertible, so a nonzero jet stays nonzero
+            acc[beta] = BasePoly._raw(self.spec.nvars, kept).taylor_shift(neg)
+        return GradedElement._raw(self.spec, acc, self.truncated)
 
     def adic_order(self, point):
         """Smallest joint order of any term at the point (word length plus
@@ -473,3 +478,69 @@ class GradedElement:
             if best is None or o < best:
                 best = o
         return best
+
+
+class TermSum:
+    """A sum of graded terms built in one pass.
+
+    Coefficients accumulate in plain dicts (word -> base exponents ->
+    Fraction) and zero coefficients are stripped once, in `element`.  The
+    truncation flag of the sum is set when any added element carries it
+    or a product drops a word longer than the truncation order, exactly
+    as adding the terms one at a time would set it.
+    """
+
+    __slots__ = ("spec", "acc", "truncated")
+
+    def __init__(self, spec: GeneratorSpec):
+        self.spec = spec
+        self.acc: dict = {}
+        self.truncated = False
+
+    def add(self, x: GradedElement, coeff: BasePoly | None = None) -> None:
+        """Add coeff * x, with coeff a base polynomial (1 when omitted)."""
+        if x.truncated:
+            self.truncated = True
+        acc = self.acc
+        for beta, poly in x.terms.items():
+            slot = acc.get(beta)
+            if slot is None:
+                slot = acc[beta] = {}
+            if coeff is None:
+                add_terms(slot, poly.terms)
+            else:
+                add_product(slot, coeff.terms, poly.terms)
+
+    def add_product(self, x: GradedElement, y: GradedElement) -> None:
+        """Add x * y."""
+        spec = self.spec
+        cap = spec.truncation
+        truncated = x.truncated or y.truncated
+        acc = self.acc
+        right = [(b2, sum(b2), p2.terms) for b2, p2 in y.terms.items()]
+        for b1, p1 in x.terms.items():
+            w1 = sum(b1)
+            t1 = p1.terms
+            for b2, w2, t2 in right:
+                sw = _word_product(spec, b1, b2)
+                if sw is None:
+                    continue
+                if w1 + w2 > cap:
+                    truncated = True
+                    continue
+                sign, beta = sw
+                slot = acc.get(beta)
+                if slot is None:
+                    slot = acc[beta] = {}
+                add_product(slot, t1, t2, sign)
+        if truncated:
+            self.truncated = True
+
+    def element(self) -> GradedElement:
+        nvars = self.spec.nvars
+        terms = {}
+        for beta, slot in self.acc.items():
+            slot = strip_zeros(slot)
+            if slot:
+                terms[beta] = BasePoly._raw(nvars, slot)
+        return GradedElement._raw(self.spec, terms, self.truncated)

@@ -155,9 +155,6 @@ class IntPower(_PowerSpec):
         super().__init__(k)
         self.kind = "int_power"
 
-    def parity(self, i) -> int:
-        return sum(self._tup(i)) % 2  # c and -c have equal parity
-
     def check_element(self, i):
         return self._check_components(i, lambda c: True,
                                       "a %d-tuple of integers" % self.ncomp)
@@ -261,7 +258,10 @@ class FiniteTable(GradingSpec):
                     if table[table[a][b]][c] != table[a][table[b][c]]:
                         raise GradingError(
                             "table is not associative at (%d,%d,%d)" % (a, b, c))
-        parity = tuple(int(b) for b in parity)
+        try:
+            parity = tuple(int(b) for b in parity)
+        except (TypeError, ValueError) as exc:
+            raise GradingError("parity must be a bit per element") from exc
         if len(parity) != n or any(b not in (0, 1) for b in parity):
             raise GradingError("parity must be a bit per element")
         self.kind = "finite_table"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 from .basecoeff import BasePoly
-from .galgebra import AlgebraError, GeneratorSpec, GradedElement
+from .galgebra import AlgebraError, GeneratorSpec, GradedElement, TermSum
 from .reporting import CheckReport
 from .sampling import grid_points, random_point_in
 
@@ -132,19 +132,31 @@ def continuation(g: BasePoly, images, spec: GeneratorSpec | None = None) -> Grad
             raise MorphismError("images live over different generator specs")
         if not y.is_homogeneous() or (not y.is_zero() and y.degree() != zero_deg):
             raise MorphismError("image of x%d is not of degree zero" % (mu + 1))
-    out = GradedElement.zero(spec)
-    powers: dict = {}
+    return _substitute(g, spec, images, {})
+
+
+def _power(images, cache: dict, i: int, e: int) -> GradedElement:
+    """images[i] ** e, memoized in cache under (i, e)."""
+    p = cache.get((i, e))
+    if p is None:
+        p = cache[(i, e)] = images[i] ** e
+    return p
+
+
+def _substitute(g: BasePoly, spec: GeneratorSpec, images, cache: dict) -> GradedElement:
+    """g evaluated on checked degree-0 images, summed in one pass, with the
+    images' powers memoized in cache."""
+    total = TermSum(spec)
     for exps, coeff in g.terms.items():
-        term = GradedElement.scalar(spec, coeff)
+        term = None
         for mu, e in enumerate(exps):
-            if not e:
-                continue
-            key = (mu, e)
-            if key not in powers:
-                powers[key] = images[mu] ** e
-            term = term * powers[key]
-        out = out + term
-    return out
+            if e:
+                p = _power(images, cache, mu, e)
+                term = p if term is None else term * p
+        if term is None:
+            term = GradedElement.one(spec)
+        total.add(term, BasePoly.const(spec.nvars, coeff))
+    return total.element()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +169,9 @@ class Morphism:
     Degree constraints are enforced at construction; the requirement that
     the underlying point map send the source box into the target box is
     checked on a deterministic grid plus seeded random sample points, and
-    a violation is a hard error.
+    a violation is a hard error.  The images are never changed after
+    construction, so the powers that `pullback` raises them to are cached
+    on the morphism.
     """
 
     def __init__(self, source: DomainSpec, target: DomainSpec, base_images,
@@ -195,16 +209,10 @@ class Morphism:
                     % (pos, src.grading.format_element(want)))
         self.base_images = base_images
         self.gen_images = gen_images
-        self._check_range(samples, seed)
-
-    def _check_range(self, samples: int, seed: int):
-        bodies = [y.body() for y in self.base_images]
-        for p in self.source.sample_points(samples, seed):
-            q = [b.eval(p) for b in bodies]
-            if not box_contains(self.target.box, q):
-                raise RangeViolation(
-                    "range condition fails: point %s maps to %s outside the target box"
-                    % ([str(c) for c in p], [str(c) for c in q]))
+        self._base_powers: dict = {}
+        self._gen_powers: dict = {}
+        _check_range(self, target.box, samples, seed,
+                     "range condition fails: point %s maps to %s outside the target box")
 
     @classmethod
     def identity(cls, domain: DomainSpec) -> "Morphism":
@@ -222,14 +230,20 @@ class Morphism:
         if f.spec != self.target.genspec:
             raise MorphismError("element does not live over the morphism's target")
         src = self.source.genspec
-        out = GradedElement.zero(src)
+        total = TermSum(src)
         for beta, poly in f.terms.items():
-            term = continuation(poly, self.base_images, src)
-            for pos, e in enumerate(beta):
-                if e:
-                    term = term * self.gen_images[pos] ** e
-            out = out + term
-        return out
+            term = _substitute(poly, src, self.base_images, self._base_powers)
+            powers = [_power(self.gen_images, self._gen_powers, pos, e)
+                      for pos, e in enumerate(beta) if e]
+            if not powers:
+                total.add(term)
+                continue
+            # multiply left to right, as the term is written, and let the
+            # last product land in the sum directly
+            for p in powers[:-1]:
+                term = term * p
+            total.add_product(term, powers[-1])
+        return total.element()
 
     def underlying_map(self):
         """The point map between the base boxes: the bodies of the base images."""
@@ -253,21 +267,22 @@ def compose(first: Morphism, second: Morphism,
     the pullback of second followed by the pullback of first."""
     if first.target.genspec != second.source.genspec:
         raise MorphismError("cannot compose: middle generator specs differ")
-    bodies = [y.body() for y in first.base_images]
-    for p in first.source.sample_points(samples, seed):
-        q = [b.eval(p) for b in bodies]
-        if not box_contains(second.source.box, q):
-            raise RangeViolation(
-                "cannot compose: point %s leaves the second source box at %s"
-                % ([str(c) for c in p], [str(c) for c in q]))
+    _check_range(first, second.source.box, samples, seed,
+                 "cannot compose: point %s leaves the second source box at %s")
     return Morphism(first.source, second.target,
                     [first.pullback(y) for y in second.base_images],
                     [first.pullback(eta) for eta in second.gen_images],
                     samples=samples, seed=seed)
 
 
-def underlying_map(m: Morphism):
-    return m.underlying_map()
+def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
+    """Sampled range condition: the underlying map of m sends every sample
+    point of its source into box; message formats the first failure."""
+    bodies = m.underlying_map()
+    for p in m.source.sample_points(samples, seed):
+        q = [b.eval(p) for b in bodies]
+        if not box_contains(box, q):
+            raise RangeViolation(message % ([str(c) for c in p], [str(c) for c in q]))
 
 
 def check_homomorphism(m: Morphism, samples: int = 100, seed: int = 0) -> CheckReport:

@@ -58,6 +58,13 @@ def _rat(value, what="number"):
         raise SessionError("bad %s %r" % (what, value)) from exc
 
 
+def _int(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SessionError("bad %s %r" % (what, value)) from exc
+
+
 def _degree(value):
     if isinstance(value, list):
         if not all(isinstance(c, int) for c in value):
@@ -98,13 +105,13 @@ def _grading(data):
     kind = data["kind"]
     try:
         if kind == "nat_power":
-            return NatPower(int(data["k"]))
+            return NatPower(_int(data["k"], "grading size k"))
         if kind == "int_power":
-            return IntPower(int(data["k"]))
+            return IntPower(_int(data["k"], "grading size k"))
         if kind == "z2_power":
-            return Z2Power(int(data["n"]))
+            return Z2Power(_int(data["n"], "grading size n"))
         if kind == "cyclic_product":
-            return CyclicProduct([int(q) for q in data["orders"]])
+            return CyclicProduct([_int(q, "cyclic order") for q in data["orders"]])
         if kind == "finite_table":
             return FiniteTable(data["table"], data["parity"],
                                mul_table=data.get("mul"),
@@ -151,9 +158,9 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise SessionError("options must be an object")
-    s.truncation = int(opts.get("truncation", 6))
-    s.seed = int(opts.get("seed", 0))
-    s.samples = int(opts.get("samples", 200))
+    s.truncation = _int(opts.get("truncation", 6), "truncation option")
+    s.seed = _int(opts.get("seed", 0), "seed option")
+    s.samples = _int(opts.get("samples", 200), "samples option")
     if truncation is not None:
         s.truncation = truncation
     if seed is not None:
@@ -176,7 +183,7 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
         if not isinstance(dom, dict):
             raise SessionError("domain %r must be an object" % name)
         try:
-            nvars = int(dom.get("vars", 0))
+            nvars = _int(dom.get("vars", 0), "variable count")
             gens = dom.get("generators", [])
             degrees = [s.grading.check_element(_degree(g["degree"])) for g in gens]
             names = [g.get("name") for g in gens]

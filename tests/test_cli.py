@@ -1,9 +1,11 @@
 """Command dispatch, exit codes, session loading, report determinism."""
 
+import json
 from pathlib import Path
 
 import pytest
 
+from monograde import parse_element, render_element
 from monograde.cli import main
 from monograde.session import SessionError, load_session
 
@@ -257,3 +259,54 @@ def test_loader_maps_declaration_order_to_canonical():
     from monograde import render_element
     assert render_element(K.gen_values[theta_pos]) == "psi"
     assert K.gen_values[psi_pos].is_zero()
+
+
+def test_non_integer_option_and_grading_size_are_input_errors(tmp_path, capsys):
+    bad_options = base_session()
+    bad_options["options"] = {"truncation": "abc"}
+    bad_grading = base_session()
+    bad_grading["grading"] = {"kind": "int_power", "k": "two"}
+    for data in (bad_options, bad_grading):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check-monoid", "--session", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def finite_table_session():
+    """Z4 with named elements, so display names differ from the indices
+    the parser reads; the generators are unnamed."""
+    return {
+        "format": 1,
+        "grading": {"kind": "finite_table",
+                    "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+                    "mul": [[(i * j) % 4 for j in range(4)] for i in range(4)],
+                    "parity": [0, 1, 0, 1], "names": ["z", "o", "t", "h"]},
+        "options": {"truncation": 3},
+        "domains": {"U": {"vars": 1, "generators": [
+            {"degree": 1}, {"degree": 2}, {"degree": 3}]}},
+        "morphisms": {"m": {"source": "U", "target": "U",
+                            "base_images": ["x1 + th[1,1]*th[3,1]"],
+                            "generator_images": ["th[1,1]", "2*th[2,1]",
+                                                 "th[3,1] + x1*th[1,1]*th[2,1]"]}},
+        "derivations": {"D": {"domain": "U", "degree": 0,
+                              "base_values": ["x1"],
+                              "generator_values": ["th[1,1]", "0", "th[3,1]"]}},
+    }
+
+
+def test_generator_tokens_parse_back_on_finite_table(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(finite_table_session()))
+    spec = load_session(str(path)).domains["U"].genspec
+    for argv in (("compose", "m", "m"), ("bracket", "D", "D")):
+        code, out, _ = run(capsys, *argv, "--session", str(path))
+        assert code == 0
+        lines = [line for line in out.splitlines() if "->" in line]
+        assert len(lines) == 1 + spec.ngens
+        for line in lines:
+            lhs, rhs = line.split(" -> ")
+            parse_element(lhs, spec)
+            assert render_element(parse_element(rhs, spec)) == rhs

@@ -10,10 +10,12 @@ Grammar (no implicit multiplication):
 
 where `variable` is x1..xn, `generator` is th[degree,index] with the degree
 an integer or a tuple literal like (1,0), and NAME is a declared generator
-name.  Rendering emits terms sorted by generator word (short words first),
-then by base monomial in descending graded-lexicographic order; this is the
-only place the canonical term order is applied, and parsing the rendered
-form reproduces the element exactly.
+name.  Parentheses and unary minus nest at most MAX_NESTING deep.
+
+Rendering emits terms sorted by generator word (short words first), then
+by base monomial in descending graded-lexicographic order; this is the only
+place the canonical term order is applied, and parsing the rendered form
+reproduces the element exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class ExprError(ValueError):
         super().__init__("%s (at position %d)" % (message, pos))
         self.pos = pos
 
+
+# Every '(' and every unary '-' passes through _Parser.factor; bounding the
+# factors open at once bounds the parser's recursion.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()\[\],/]))")
 
@@ -68,6 +74,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -113,10 +120,16 @@ class _Parser:
         return value
 
     def factor(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError("nesting deeper than %d" % MAX_NESTING, self.peek()[2])
         if self.at_sym("-"):
             self.take()
-            return -self.factor()
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         value = self.atom()

@@ -358,12 +358,6 @@ class Atlas:
                 raise MorphismError("missing reverse transition (%d,%d)" % (b, a))
 
 
-def _identity_images(domain: DomainSpec):
-    spec = domain.genspec
-    return ([GradedElement.variable(spec, mu + 1) for mu in range(spec.nvars)],
-            [GradedElement.gen(spec, pos) for pos in range(spec.ngens)])
-
-
 def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
                   seed: int = 0) -> CheckReport:
     """Consistency of the transition system: declared self-transitions are
@@ -372,13 +366,9 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
     rep = CheckReport("atlas cocycle check")
     nm = atlas.names
 
-    def images_match(m: Morphism, base, gens) -> bool:
-        return list(m.base_images) == list(base) and list(m.gen_images) == list(gens)
-
     for (a, b), t in sorted(atlas.transitions.items()):
         if a == b:
-            base, gens = _identity_images(t.source)
-            if images_match(t, base, gens):
+            if t.same_images(Morphism.identity(t.source)):
                 rep.ok("self (%s,%s) is the identity" % (nm[a], nm[b]))
             else:
                 rep.fail("self (%s,%s)" % (nm[a], nm[b]), "declared transition",
@@ -394,8 +384,7 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
             except MorphismError as exc:
                 rep.fail("pair (%s,%s)" % (nm[x], nm[y]), str(exc), "composable")
                 continue
-            base, gens = _identity_images(first.source)
-            if images_match(round_trip, base, gens):
+            if round_trip.same_images(Morphism.identity(first.source)):
                 rep.ok("pair (%s,%s) inverts" % (nm[x], nm[y]))
             else:
                 from .expr import render_element

@@ -33,15 +33,11 @@ class Session:
         self.seed = 0
         self.samples = 200
         self.domains: dict = {}
-        self.domain_declared: dict = {}
         self.elements: dict = {}
-        self.element_domain: dict = {}
         self.morphisms: dict = {}
         self.derivations: dict = {}
-        self.derivation_domain: dict = {}
         self.atlases: dict = {}
         self.sequences: dict = {}
-        self.sequence_domain: dict = {}
 
     def sole_domain(self):
         if len(self.domains) != 1:
@@ -59,9 +55,11 @@ def _rat(value, what="number"):
 
 
 def _int(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SessionError("%s must be an integer, not %r" % (what, value))
     try:
         return int(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SessionError("bad %s %r" % (what, value)) from exc
 
 
@@ -123,19 +121,36 @@ def _grading(data):
     raise SessionError("unknown grading kind %r" % kind)
 
 
-def _parse(session: Session, text, domain_name: str, what: str) -> GradedElement:
+def _list(entry: dict, field: str, what: str) -> list:
+    value = entry.get(field, [])
+    if not isinstance(value, list):
+        raise SessionError("%s: %r must be a list" % (what, field))
+    return value
+
+
+def _ref(value, names, what: str) -> str:
+    """A reference by name, which must be a string among names."""
+    if not isinstance(value, str) or value not in names:
+        raise SessionError("%s references unknown %r" % (what, value))
+    return value
+
+
+def _parse(text, spec: GeneratorSpec, what: str) -> GradedElement:
     if not isinstance(text, str):
         raise SessionError("%s must be an expression string" % what)
-    spec = session.domains[domain_name].genspec
     try:
         return parse_element(text, spec)
     except ExprError as exc:
         raise SessionError("%s: %s" % (what, exc)) from exc
 
 
+def _exprs(entry: dict, field: str, spec: GeneratorSpec, what: str) -> list:
+    return [_parse(t, spec, "%s %s" % (what, field)) for t in _list(entry, field, what)]
+
+
 def load_session(source, truncation: int | None = None, seed: int | None = None,
                  samples: int | None = None) -> Session:
-    """Build a session from a file path, a JSON string, or a parsed dict.
+    """Build a session from a file path or a parsed dict.
     Explicit keyword overrides win over the session's own options."""
     if isinstance(source, dict):
         data = source
@@ -143,11 +158,11 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SessionError("cannot read session file: %s" % exc) from exc
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SessionError("not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise SessionError("session must be a JSON object")
@@ -167,155 +182,123 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
         s.seed = seed
     if samples is not None:
         s.samples = samples
+    if s.samples < 0:
+        raise SessionError("samples must be nonnegative, got %d" % s.samples)
     s.grading = _grading(data.get("grading"))
 
     seen: set = set()
+    # per domain, the canonical position of each generator in declaration
+    # order, so that value lists in the file may follow the declaration
+    declared: dict = {}
 
-    def claim(name, section):
-        if not isinstance(name, str) or not name:
-            raise SessionError("names must be nonempty strings")
-        if name in seen:
-            raise SessionError("duplicate name %r (in %s)" % (name, section))
-        seen.add(name)
+    def entries(section):
+        """Each (name, entry) of a section, the name new to the session's
+        one namespace and the entry an object."""
+        table = data.get(section) or {}
+        if not isinstance(table, dict):
+            raise SessionError("%s must be an object" % section)
+        for name, entry in table.items():
+            if not isinstance(name, str) or not name:
+                raise SessionError("names must be nonempty strings")
+            if name in seen:
+                raise SessionError("duplicate name %r (in %s)" % (name, section))
+            seen.add(name)
+            if not isinstance(entry, dict):
+                raise SessionError("%s: %r must be an object" % (section, name))
+            yield name, entry
 
-    for name, dom in (data.get("domains") or {}).items():
-        claim(name, "domains")
-        if not isinstance(dom, dict):
-            raise SessionError("domain %r must be an object" % name)
+    def canonical(values, domain_name, what):
+        positions = declared[domain_name]
+        if len(values) != len(positions):
+            raise SessionError("%s needs %d generator entries, got %d"
+                               % (what, len(positions), len(values)))
+        canon = [None] * len(positions)
+        for pos, v in zip(positions, values):
+            canon[pos] = v
+        return canon
+
+    def morphism(entry, src, tgt, box, what):
+        """The morphism from domain src, over box, into domain tgt that the
+        entry's image lists give."""
+        spec = s.domains[src].genspec
+        base = _exprs(entry, "base_images", spec, what)
+        gens = canonical(_exprs(entry, "generator_images", spec, what), tgt, what)
+        try:
+            return Morphism(DomainSpec(spec, box), s.domains[tgt], base, gens,
+                            samples=s.samples, seed=s.seed)
+        except (MorphismError, AlgebraError) as exc:
+            raise SessionError("%s: %s" % (what, exc)) from exc
+
+    for name, dom in entries("domains"):
         try:
             nvars = _int(dom.get("vars", 0), "variable count")
-            gens = dom.get("generators", [])
+            gens = _list(dom, "generators", "domain %r" % name)
             degrees = [s.grading.check_element(_degree(g["degree"])) for g in gens]
             names = [g.get("name") for g in gens]
             spec = GeneratorSpec(s.grading, nvars, degrees,
                                  truncation=s.truncation, names=names)
             s.domains[name] = DomainSpec(spec, _box(dom.get("box"), nvars))
-            # canonical position of each generator in declaration order, so
-            # that value lists in the file may follow the declaration
-            counter: dict = {}
-            positions = []
-            for d in degrees:
-                counter[d] = counter.get(d, 0) + 1
-                positions.append(spec.position_of(d, counter[d]))
-            s.domain_declared[name] = positions
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, GradingError, AlgebraError, MorphismError) as exc:
             raise SessionError("domain %r: %s" % (name, exc)) from exc
-        except (GradingError, AlgebraError, MorphismError) as exc:
-            raise SessionError("domain %r: %s" % (name, exc)) from exc
+        counter: dict = {}
+        declared[name] = []
+        for d in degrees:
+            counter[d] = counter.get(d, 0) + 1
+            declared[name].append(spec.position_of(d, counter[d]))
 
-    def domain_of(entry, name, section):
-        dn = entry.get("domain")
-        if dn not in s.domains:
-            raise SessionError("%s %r references unknown domain %r"
-                               % (section, name, dn))
-        return dn
+    for name, entry in entries("elements"):
+        what = "element %r" % name
+        spec = s.domains[_ref(entry.get("domain"), s.domains, what)].genspec
+        s.elements[name] = _parse(entry.get("expr"), spec, what)
 
-    def to_canonical(values, domain_name, what):
-        declared = s.domain_declared[domain_name]
-        if len(values) != len(declared):
-            raise SessionError("%s needs %d generator entries, got %d"
-                               % (what, len(declared), len(values)))
-        canon = [None] * len(declared)
-        for i, v in enumerate(values):
-            canon[declared[i]] = v
-        return canon
+    for name, entry in entries("morphisms"):
+        what = "morphism %r" % name
+        src, tgt = (_ref(entry.get(k), s.domains, what) for k in ("source", "target"))
+        s.morphisms[name] = morphism(entry, src, tgt, s.domains[src].box, what)
 
-    for name, entry in (data.get("elements") or {}).items():
-        claim(name, "elements")
-        if not isinstance(entry, dict):
-            raise SessionError("element %r must be an object" % name)
-        dn = domain_of(entry, name, "element")
-        s.elements[name] = _parse(s, entry.get("expr"), dn, "element %r" % name)
-        s.element_domain[name] = dn
-
-    for name, entry in (data.get("morphisms") or {}).items():
-        claim(name, "morphisms")
-        if not isinstance(entry, dict):
-            raise SessionError("morphism %r must be an object" % name)
-        src = entry.get("source")
-        tgt = entry.get("target")
-        if src not in s.domains or tgt not in s.domains:
-            raise SessionError("morphism %r references unknown domains" % name)
-        base = [_parse(s, t, src, "morphism %r base image" % name)
-                for t in entry.get("base_images", [])]
-        gens = to_canonical(
-            [_parse(s, t, src, "morphism %r generator image" % name)
-             for t in entry.get("generator_images", [])],
-            tgt, "morphism %r" % name)
-        try:
-            s.morphisms[name] = Morphism(s.domains[src], s.domains[tgt],
-                                         base, gens, samples=s.samples,
-                                         seed=s.seed)
-        except (MorphismError, AlgebraError) as exc:
-            raise SessionError("morphism %r: %s" % (name, exc)) from exc
-
-    for name, entry in (data.get("derivations") or {}).items():
-        claim(name, "derivations")
-        if not isinstance(entry, dict):
-            raise SessionError("derivation %r must be an object" % name)
-        dn = domain_of(entry, name, "derivation")
+    for name, entry in entries("derivations"):
+        what = "derivation %r" % name
+        dn = _ref(entry.get("domain"), s.domains, what)
+        spec = s.domains[dn].genspec
         try:
             degree = _k_degree(s.grading, entry.get("degree"))
         except GradingError as exc:
-            raise SessionError("derivation %r: %s" % (name, exc)) from exc
-        base = [_parse(s, t, dn, "derivation %r base value" % name)
-                for t in entry.get("base_values", [])]
-        gens = to_canonical(
-            [_parse(s, t, dn, "derivation %r generator value" % name)
-             for t in entry.get("generator_values", [])],
-            dn, "derivation %r" % name)
+            raise SessionError("%s: %s" % (what, exc)) from exc
+        base = _exprs(entry, "base_values", spec, what)
+        gens = canonical(_exprs(entry, "generator_values", spec, what), dn, what)
         try:
             s.derivations[name] = Derivation(s.domains[dn], degree, base, gens)
         except CalculusError as exc:
-            raise SessionError("derivation %r: %s" % (name, exc)) from exc
-        s.derivation_domain[name] = dn
+            raise SessionError("%s: %s" % (what, exc)) from exc
 
-    for name, entry in (data.get("atlases") or {}).items():
-        claim(name, "atlases")
-        if not isinstance(entry, dict):
-            raise SessionError("atlas %r must be an object" % name)
-        chart_names = entry.get("charts", [])
-        if not chart_names or any(c not in s.domains for c in chart_names):
-            raise SessionError("atlas %r references unknown charts" % name)
-        charts = [s.domains[c] for c in chart_names]
-        index = {c: i for i, c in enumerate(chart_names)}
+    for name, entry in entries("atlases"):
+        what = "atlas %r" % name
+        charts = [_ref(c, s.domains, what) for c in _list(entry, "charts", what)]
+        if not charts:
+            raise SessionError("%s has no charts" % what)
+        index = {c: i for i, c in enumerate(charts)}
         transitions = {}
-        for tr in entry.get("transitions", []):
-            src = tr.get("source")
-            tgt = tr.get("target")
-            if src not in index or tgt not in index:
-                raise SessionError("atlas %r transition references unknown charts" % name)
-            overlap = _box(tr.get("overlap"), s.domains[src].n)
-            base = [_parse(s, t, src, "atlas %r base image" % name)
-                    for t in tr.get("base_images", [])]
-            gens = to_canonical(
-                [_parse(s, t, src, "atlas %r generator image" % name)
-                 for t in tr.get("generator_images", [])],
-                tgt, "atlas %r transition" % name)
-            try:
-                source_dom = DomainSpec(s.domains[src].genspec, overlap)
-                transitions[(index[src], index[tgt])] = Morphism(
-                    source_dom, s.domains[tgt], base, gens,
-                    samples=s.samples, seed=s.seed)
-            except (MorphismError, AlgebraError) as exc:
-                raise SessionError("atlas %r transition (%s,%s): %s"
-                                   % (name, src, tgt, exc)) from exc
+        for tr in _list(entry, "transitions", what):
+            if not isinstance(tr, dict):
+                raise SessionError("%s: each transition must be an object" % what)
+            src, tgt = (_ref(tr.get(k), index, what + " transition")
+                        for k in ("source", "target"))
+            # a transition without an overlap has an unbounded source box
+            transitions[(index[src], index[tgt])] = morphism(
+                tr, src, tgt, _box(tr.get("overlap"), s.domains[src].n),
+                "%s transition (%s,%s)" % (what, src, tgt))
         try:
-            s.atlases[name] = Atlas(charts, transitions, names=chart_names)
+            s.atlases[name] = Atlas([s.domains[c] for c in charts], transitions,
+                                    names=charts)
         except MorphismError as exc:
-            raise SessionError("atlas %r: %s" % (name, exc)) from exc
+            raise SessionError("%s: %s" % (what, exc)) from exc
 
-    for name, entry in (data.get("sequences") or {}).items():
-        claim(name, "sequences")
-        if not isinstance(entry, dict):
-            raise SessionError("sequence %r must be an object" % name)
-        dn = domain_of(entry, name, "sequence")
-        entries = [_parse(s, t, dn, "sequence %r entry" % name)
-                   for t in entry.get("entries", [])]
+    for name, entry in entries("sequences"):
+        what = "sequence %r" % name
+        spec = s.domains[_ref(entry.get("domain"), s.domains, what)].genspec
         try:
-            s.sequences[name] = DescentSequence(entries)
+            s.sequences[name] = DescentSequence(_exprs(entry, "entries", spec, what))
         except CalculusError as exc:
-            raise SessionError("sequence %r: %s" % (name, exc)) from exc
-        s.sequence_domain[name] = dn
+            raise SessionError("%s: %s" % (what, exc)) from exc
 
     return s

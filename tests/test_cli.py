@@ -1,21 +1,30 @@
 """Command dispatch, exit codes, session loading, report determinism."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from monograde import parse_element, render_element
+from monograde import cli, parse_element, render_element
 from monograde.cli import main
 from monograde.session import SessionError, load_session
 
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+ROOT = Path(__file__).resolve().parent.parent
+SESSIONS = ROOT / "sessions"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_session(tmp_path, capsys, data, *argv):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, *argv, "--session", str(path))
 
 
 def test_check_monoid_table1(capsys):
@@ -185,7 +194,7 @@ def base_session():
         "format": 1,
         "grading": {"kind": "nat_power", "k": 1},
         "domains": {"U": {"vars": 1,
-                          "generators": [{"degree": 1, "name": "th"}]}},
+                          "generators": [{"degree": 1, "name": "s"}]}},
     }
 
 
@@ -220,7 +229,7 @@ def test_loader_rejects_degree_zero_generator():
 def test_loader_rejects_degree_violating_derivation():
     data = base_session()
     data["derivations"] = {"D": {"domain": "U", "degree": 1,
-                                 "base_values": ["th"],
+                                 "base_values": ["s"],
                                  "generator_values": ["x1"]}}
     with pytest.raises(SessionError):
         load_session(data)
@@ -262,14 +271,17 @@ def test_loader_maps_declaration_order_to_canonical():
 
 
 def test_non_integer_option_and_grading_size_are_input_errors(tmp_path, capsys):
-    bad_options = base_session()
-    bad_options["options"] = {"truncation": "abc"}
-    bad_grading = base_session()
-    bad_grading["grading"] = {"kind": "int_power", "k": "two"}
-    for data in (bad_options, bad_grading):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "check-monoid", "--session", str(path))
+    assert run_session(tmp_path, capsys, base_session(), "check-monoid")[0] == 0
+    cases = []
+    # floats and bools are rejected, not truncated to an integer
+    for options in ({"truncation": "abc"}, {"truncation": 2.5}, {"seed": True},
+                    {"samples": -1}):
+        cases.append(dict(base_session(), options=options))
+    for grading in ({"kind": "int_power", "k": "two"},
+                    {"kind": "nat_power", "k": 2.5}, {"kind": "z2_power", "n": True}):
+        cases.append(dict(base_session(), grading=grading))
+    for data in cases:
+        code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
@@ -310,3 +322,138 @@ def test_generator_tokens_parse_back_on_finite_table(tmp_path, capsys):
             lhs, rhs = line.split(" -> ")
             parse_element(lhs, spec)
             assert render_element(parse_element(rhs, spec)) == rhs
+
+
+def replace_field(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+# each of these crashed the loader with a traceback
+MALFORMED_FIELDS = {
+    "base_images": ("morphisms.json", ("morphisms", "shift", "base_images"), 5),
+    "generator_values": ("qk_model.json", ("derivations", "Q", "generator_values"), 7),
+    "entries": ("qk_model.json", ("sequences", "tower", "entries"), 3),
+    "domain": ("qk_model.json", ("elements", "obs", "domain"), ["M"]),
+    "charts": ("two_charts.json", ("atlases", "sign_bundle", "charts"), 5),
+    "transitions": ("two_charts.json", ("atlases", "sign_bundle", "transitions"), [1]),
+    "domains": ("geometric.json", ("domains",), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name, path, value", MALFORMED_FIELDS.values(),
+                         ids=list(MALFORMED_FIELDS))
+def test_malformed_session_field_is_input_error(tmp_path, capsys, name, path, value):
+    data = json.loads((SESSIONS / name).read_text())
+    replace_field(data, path, value)
+    code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unreadable_session_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "session.json"
+    for content in (b"\xff\xfe{", b"[" * 100000 + b"]" * 100000):
+        path.write_bytes(content)
+        code, out, err = run(capsys, "check-monoid", "--session", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def field_paths(node, prefix=()):
+    """The path of every value below the root of a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+# one command per bundled session that reads what the session declares;
+# zero range samples keep the run short without skipping any loader path
+FUZZ_COMMANDS = {
+    "geometric.json": ("invert", "f"),
+    "morphisms.json": ("pullback", "shift", "f"),
+    "qk_model.json": ("descent", "Q", "K", "d", "obs", "--pmax", "2"),
+    "table1.json": ("check-monoid",),
+    "two_charts.json": ("verify-atlas", "sign_bundle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_COMMANDS))
+def test_single_field_mutations_never_raise(tmp_path, capsys, monkeypatch, name):
+    parser = cli.build_parser()  # built once: building it dominates a run
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    base = json.loads((SESSIONS / name).read_text())
+    for path in list(field_paths(base)):
+        for value in (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1):
+            data = json.loads(json.dumps(base))
+            replace_field(data, path, value)
+            try:
+                code, _, err = run_session(tmp_path, capsys, data,
+                                           *FUZZ_COMMANDS[name], "--samples", "0")
+            except SystemExit as exc:  # argparse rejected the arguments
+                assert exc.code == 2
+                continue
+            assert code in (0, 1, 2), (path, value)
+            assert (code == 2) == err.startswith("error: "), (path, value)
+
+
+def test_nesting_beyond_the_bound_is_input_error(tmp_path, capsys):
+    code, _, err = run(capsys, "normalize", "(" * 200 + "t" + ")" * 200,
+                       "--session", str(SESSIONS / "geometric.json"))
+    assert code == 2
+    assert "nesting" in err
+    data = json.loads((SESSIONS / "geometric.json").read_text())
+    data["elements"]["f"]["expr"] = "-" * 1000 + "t"
+    code, _, err = run_session(tmp_path, capsys, data, "check-monoid")
+    assert code == 2
+    assert "nesting" in err
+    code, out, _ = run(capsys, "normalize", "(" * 50 + "-" * 40 + "t" + ")" * 50,
+                       "--session", str(SESSIONS / "geometric.json"))
+    assert (code, out) == (0, "t\n")
+
+
+def test_negative_counts_are_input_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "check-hom", "shift", "--samples", "-3",
+                         "--session", str(SESSIONS / "morphisms.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    for argv in (("qk-verify", "Q", "K", "d", "--max-word", "-1"),
+                 ("descent", "Q", "K", "d", "obs", "--pmax", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--session", str(SESSIONS / "qk_model.json")])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+
+def readme_section(start: str, end: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text[text.index(start) + len(start):].split(end, 1)[0]
+
+
+def test_readme_commands_and_examples(capsys, monkeypatch):
+    listed = re.findall(r"`([a-z-]+)`", readme_section("Commands:", "\n\n"))
+    assert listed == list(cli.COMMANDS)
+    examples = readme_section("Examples against the bundled sessions:\n\n```sh\n", "```")
+    monkeypatch.chdir(ROOT)
+    lines = examples.splitlines()
+    assert lines
+    for line in lines:
+        command, _, shown = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "monograde"
+        code, out, _ = run(capsys, *argv[1:])
+        shown = shown.strip()
+        if shown == "exit 1":
+            assert code == 1, line
+        else:
+            assert code == 0, line
+            if shown:
+                assert out == shown + "\n", line

@@ -160,12 +160,6 @@ class BasePoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self):
-        """Largest term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def min_degree(self):
         """Smallest term degree, or None for the zero polynomial."""
         if not self.terms:

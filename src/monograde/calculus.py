@@ -15,10 +15,11 @@ from random import Random
 
 from .basecoeff import BasePoly
 from .galgebra import GradedElement, TermSum
-from .grading import (KGroupElement, k_add, k_element, k_embed, k_eq,
-                      k_mul, k_parity)
+from .grading import (IntPower, KGroupElement, NatPower, k_add, k_element,
+                      k_embed, k_eq, k_mul, k_parity)
 from .morphism import DomainSpec
-from .reporting import CheckReport
+from .reporting import CheckReport, render
+from .sampling import random_element, random_poly, random_word
 
 
 class CalculusError(ValueError):
@@ -195,9 +196,6 @@ def check_lie_axioms(d1: Derivation, d2: Derivation, d3: Derivation,
                      samples: int = 50, seed: int = 0) -> CheckReport:
     """Graded antisymmetry and the graded Jacobi identity, tested as
     operator equalities on random elements."""
-    from .expr import render_element
-    from .sampling import random_element
-
     rep = CheckReport("graded Lie axiom check")
     grading = d1.domain.genspec.grading
     rng = Random(seed)
@@ -207,37 +205,23 @@ def check_lie_axioms(d1: Derivation, d2: Derivation, d3: Derivation,
         ab = bracket(a, b)
         ba = bracket(b, a)
         sign = k_parity(grading, k_mul(grading, a.degree, b.degree))
-        bad = None
-        for f in elems:
-            lhs = ab.apply(f)
-            rhs = ba.apply(f)
-            rhs = rhs if sign else -rhs
-            if lhs != rhs:
-                bad = (f, lhs, rhs)
-                break
-        if bad is None:
-            rep.ok("antisymmetry %s (%d samples)" % (label, samples))
-        else:
-            rep.fail("antisymmetry %s at %s" % (label, render_element(bad[0])),
-                     render_element(bad[1]), render_element(bad[2]))
+        rep.first_counterexample(
+            "antisymmetry %s (%d samples)" % (label, samples), elems,
+            lambda f: (ab.apply(f), ba.apply(f) if sign else -ba.apply(f)),
+            lambda f: "antisymmetry %s at %s" % (label, render(f)))
 
     lhs_op = bracket(d1, bracket(d2, d3))
     rhs1_op = bracket(bracket(d1, d2), d3)
     rhs2_op = bracket(d2, bracket(d1, d3))
     sign12 = k_parity(grading, k_mul(grading, d1.degree, d2.degree))
-    bad = None
-    for f in elems:
+
+    def jacobi(f):
         lhs = lhs_op.apply(f)
         tail = rhs2_op.apply(f)
-        rhs = rhs1_op.apply(f) + (-tail if sign12 else tail)
-        if lhs != rhs:
-            bad = (f, lhs, rhs)
-            break
-    if bad is None:
-        rep.ok("jacobi (%d samples)" % samples)
-    else:
-        rep.fail("jacobi at %s" % render_element(bad[0]),
-                 render_element(bad[1]), render_element(bad[2]))
+        return lhs, rhs1_op.apply(f) + (-tail if sign12 else tail)
+
+    rep.first_counterexample("jacobi (%d samples)" % samples, elems, jacobi,
+                             lambda f: "jacobi at %s" % render(f))
     return rep
 
 
@@ -265,11 +249,6 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
     identities on every normal-form monomial of bounded word length, plus
     random base-coefficient multiples; also compare the literal
     anticommutators against the graded brackets."""
-    from .expr import render_element
-    from .sampling import random_poly, random_word
-
-    from .grading import IntPower, NatPower
-
     domain = Q.domain
     spec = domain.genspec
     grading = spec.grading
@@ -294,36 +273,23 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
         poly = random_poly(rng, spec.nvars)
         probes.append(("sample", GradedElement(spec, {w: poly})))
 
+    zero = GradedElement.zero(spec)
     relations = (
-        ("Q^2 = 0", lambda f: Q(Q(f)), lambda f: GradedElement.zero(spec)),
-        ("QK+KQ = d", lambda f: Q(K(f)) + K(Q(f)), lambda f: d(f)),
-        ("Kd+dK = 0", lambda f: K(d(f)) + d(K(f)), lambda f: GradedElement.zero(spec)),
+        ("Q^2 = 0", lambda f: (Q(Q(f)), zero)),
+        ("QK+KQ = d", lambda f: (Q(K(f)) + K(Q(f)), d(f))),
+        ("Kd+dK = 0", lambda f: (K(d(f)) + d(K(f)), zero)),
     )
-    for label, lhs_fn, rhs_fn in relations:
-        bad = None
-        for kind, f in probes:
-            lhs = lhs_fn(f)
-            rhs = rhs_fn(f)
-            if lhs != rhs:
-                bad = (kind, f, lhs, rhs)
-                break
-        if bad is None:
-            rep.ok("%s on %d probes (word length <= %d)"
-                   % (label, len(probes), max_word))
-        else:
-            rep.fail("%s at %s %s" % (label, bad[0], render_element(bad[1])),
-                     render_element(bad[2]), render_element(bad[3]))
+    for label, sides in relations:
+        rep.first_counterexample(
+            "%s on %d probes (word length <= %d)" % (label, len(probes), max_word),
+            probes, lambda probe: sides(probe[1]),
+            lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1])))
 
     # graded-bracket forms, for comparison with the literal anticommutators
-    br_qk = bracket(Q, K)
-    if br_qk == d:
-        rep.note("NOTE bracket [Q,K] equals d as a derivation")
-    else:
-        rep.note("NOTE bracket [Q,K] differs from d as a derivation")
-    if bracket(K, d).is_zero():
-        rep.note("NOTE bracket [K,d] is the zero derivation")
-    else:
-        rep.note("NOTE bracket [K,d] is not the zero derivation")
+    rep.note("NOTE bracket [Q,K] %s d as a derivation"
+             % ("equals" if bracket(Q, K) == d else "differs from"))
+    rep.note("NOTE bracket [K,d] %s the zero derivation"
+             % ("is" if bracket(K, d).is_zero() else "is not"))
     return rep
 
 
@@ -387,21 +353,14 @@ def k_sequence(Q: Derivation, K: Derivation, d: Derivation | None,
 def check_descent(Q: Derivation, d: Derivation, seq: DescentSequence) -> CheckReport:
     """The descent equations: Q kills the seed, and Q of each entry equals
     d of the previous one.  Exact equality throughout."""
-    from .expr import render_element
-
     rep = CheckReport("descent equation check")
     q0 = Q(seq[0])
     if q0.is_zero():
         rep.ok("p=0 seed is Q-closed")
     else:
-        rep.fail("p=0", render_element(q0), "0")
+        rep.fail("p=0", q0, "0")
     for p in range(1, len(seq)):
-        lhs = Q(seq[p])
-        rhs = d(seq[p - 1])
-        if lhs == rhs:
-            rep.ok("p=%d" % p)
-        else:
-            rep.fail("p=%d" % p, render_element(lhs), render_element(rhs))
+        rep.compare("p=%d" % p, Q(seq[p]), d(seq[p - 1]))
     return rep
 
 
@@ -413,8 +372,6 @@ def check_exact(Q: Derivation, d: Derivation, o_seq: DescentSequence,
     The witness tower may be one entry shorter, in which case its missing
     last entry is taken to be zero.
     """
-    from .expr import render_element
-
     if len(p_seq) not in (len(o_seq), len(o_seq) - 1):
         raise CalculusError("witness tower has %d entries, expected %d or %d"
                             % (len(p_seq), len(o_seq), len(o_seq) - 1))
@@ -423,16 +380,7 @@ def check_exact(Q: Derivation, d: Derivation, o_seq: DescentSequence,
     if len(witnesses) == len(o_seq) - 1:
         witnesses.append(GradedElement.zero(spec))
     rep = CheckReport("exactness check")
-    lhs = o_seq[0]
-    rhs = Q(witnesses[0])
-    if lhs == rhs:
-        rep.ok("p=0")
-    else:
-        rep.fail("p=0", render_element(lhs), render_element(rhs))
+    rep.compare("p=0", o_seq[0], Q(witnesses[0]))
     for p in range(1, len(o_seq)):
-        rhs = Q(witnesses[p]) + d(witnesses[p - 1])
-        if o_seq[p] == rhs:
-            rep.ok("p=%d" % p)
-        else:
-            rep.fail("p=%d" % p, render_element(o_seq[p]), render_element(rhs))
+        rep.compare("p=%d" % p, o_seq[p], Q(witnesses[p]) + d(witnesses[p - 1]))
     return rep

@@ -6,14 +6,14 @@ A positional that names a session object says which session table it comes
 from, and `main` looks it up before the handler runs.  A handler returns
 report lines or a `CheckReport`.
 
-`main` alone maps results and exceptions to exit codes: 0 for success; 1
-for a mathematical failure -- a failed `CheckReport`, with a located
-counterexample, or `NotInvertible`, `NotQClosed` or `RangeViolation`,
-reported as one `FAIL` line; 2 for input errors -- `SessionError`,
-`ExprError`, `AlgebraError`, `GradingError`, `CalculusError` and
-`MorphismError`, reported on stderr, and bad arguments, which argparse
-rejects.  Reports are line-oriented and deterministic for a fixed session
-and seed.
+`main` and its `_outcome` alone map results and exceptions to exit codes:
+0 for success; 1 for a mathematical failure -- a failed `CheckReport`,
+with a located counterexample, or `NotInvertible`, `NotQClosed` or
+`RangeViolation`, reported as one `FAIL` line; 2 for input errors --
+`SessionError`, `ExprError`, `AlgebraError`, `GradingError`,
+`CalculusError`, `MorphismError` and an `--out` path that cannot be
+written, reported on stderr, and bad arguments, which argparse rejects.
+Reports are line-oriented and deterministic for a fixed session and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .calculus import (CalculusError, NotQClosed, bracket, check_descent,
 from .expr import (ExprError, parse_element, render_element, render_generator,
                    render_poly)
 from .galgebra import AlgebraError, NotInvertible
-from .grading import (GradingError, check_parity_cardinality, format_k)
+from .grading import GradingError, format_k
 from .morphism import (MorphismError, RangeViolation, check_cocycle,
                        check_homomorphism, compose)
 from .reporting import CheckReport
@@ -41,7 +41,7 @@ PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 FAILURES = {NotInvertible: "not invertible: ", NotQClosed: "seed not Q-closed: ",
             RangeViolation: ""}
 INPUT_ERRORS = (SessionError, ExprError, AlgebraError, GradingError,
-                CalculusError, MorphismError)
+                CalculusError, MorphismError, OSError)
 
 
 def _element(session, args, token: str, spec=None):
@@ -95,8 +95,8 @@ def _check_monoid(session, args):
                          % (x, y, x, z, y, z))
         even = sum(1 for e in g.elements() if g.parity(e) == 0)
         odd = sum(1 for e in g.elements() if g.parity(e) == 1)
-        verdict = "equal" if check_parity_cardinality(g) else "unequal"
-        lines.append("even part %d, odd part %d: %s" % (even, odd, verdict))
+        lines.append("even part %d, odd part %d: %s"
+                     % (even, odd, "equal" if even == odd else "unequal"))
     else:
         lines.append("cancellative: yes (structural)")
         lines.append("infinite monoid: cardinality comparison skipped")
@@ -206,9 +206,8 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = COMMANDS[args.command]
+def _outcome(cmd: Command, args):
+    """The report lines of a command and its exit code."""
     try:
         session = load_session(args.session, truncation=args.truncation,
                                seed=args.seed, samples=args.samples)
@@ -223,16 +222,21 @@ def main(argv=None) -> int:
             values.append(token)
         result = cmd.handler(session, args, *values)
     except tuple(FAILURES) as exc:
-        _emit(["FAIL %s%s" % (FAILURES[type(exc)], exc)], args.out)
-        return MATH_FAIL
+        return ["FAIL %s%s" % (FAILURES[type(exc)], exc)], MATH_FAIL
+    if isinstance(result, CheckReport):
+        return [result.text()], PASS if result.passed else MATH_FAIL
+    return result, PASS
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        lines, code = _outcome(COMMANDS[args.command], args)
+        _emit(lines, args.out)
     except INPUT_ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
-    if isinstance(result, CheckReport):
-        _emit([result.text()], args.out)
-        return PASS if result.passed else MATH_FAIL
-    _emit(result, args.out)
-    return PASS
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from random import Random
 from .basecoeff import BasePoly
 from .galgebra import AlgebraError, GeneratorSpec, GradedElement, TermSum
 from .reporting import CheckReport
-from .sampling import grid_points, random_point_in
+from .sampling import (grid_points, random_element, random_homogeneous,
+                       random_point_in)
 
 DEFAULT_RANGE_SAMPLES = 12
 
@@ -287,41 +288,33 @@ def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
 
 def check_homomorphism(m: Morphism, samples: int = 100, seed: int = 0) -> CheckReport:
     """Property run: the pullback is a unital degree-preserving ring map."""
-    from .expr import render_element
-    from .sampling import random_element, random_homogeneous
-
     rng = Random(seed)
     tgt = m.target.genspec
     rep = CheckReport("homomorphism check")
-    one_t = GradedElement.one(tgt)
-    one_s = GradedElement.one(m.source.genspec)
-    if m.pullback(one_t) == one_s:
-        rep.ok("unit")
-    else:
-        rep.fail("unit", render_element(m.pullback(one_t)), render_element(one_s))
+    rep.compare("unit", m.pullback(GradedElement.one(tgt)),
+                GradedElement.one(m.source.genspec))
     failed = set()
     for k in range(samples):
         f = random_element(rng, tgt)
         g = random_element(rng, tgt)
         h = random_homogeneous(rng, tgt)
-        if "add" not in failed and m.pullback(f + g) != m.pullback(f) + m.pullback(g):
-            rep.fail("additivity sample %d" % k,
-                     render_element(m.pullback(f + g)),
-                     render_element(m.pullback(f) + m.pullback(g)))
-            failed.add("add")
-        if "mul" not in failed and m.pullback(f * g) != m.pullback(f) * m.pullback(g):
-            rep.fail("multiplicativity sample %d" % k,
-                     render_element(m.pullback(f * g)),
-                     render_element(m.pullback(f) * m.pullback(g)))
-            failed.add("mul")
-        if "deg" not in failed:
+        if "additivity" not in failed:
+            lhs, rhs = m.pullback(f + g), m.pullback(f) + m.pullback(g)
+            if lhs != rhs:
+                rep.fail("additivity sample %d" % k, lhs, rhs)
+                failed.add("additivity")
+        if "multiplicativity" not in failed:
+            lhs, rhs = m.pullback(f * g), m.pullback(f) * m.pullback(g)
+            if lhs != rhs:
+                rep.fail("multiplicativity sample %d" % k, lhs, rhs)
+                failed.add("multiplicativity")
+        if "degree preservation" not in failed:
             ph = m.pullback(h)
             if not ph.is_zero() and (not ph.is_homogeneous() or ph.degree() != h.degree()):
-                rep.fail("degree sample %d" % k, render_element(h), render_element(ph))
-                failed.add("deg")
-    for name, label in (("add", "additivity"), ("mul", "multiplicativity"),
-                        ("deg", "degree preservation")):
-        if name not in failed:
+                rep.fail("degree sample %d" % k, h, ph)
+                failed.add("degree preservation")
+    for label in ("additivity", "multiplicativity", "degree preservation"):
+        if label not in failed:
             rep.ok("%s (%d samples)" % (label, samples))
     return rep
 
@@ -366,6 +359,21 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
     rep = CheckReport("atlas cocycle check")
     nm = atlas.names
 
+    def composite(locator, passed, first, second, expected, shown, box=None):
+        """PASS `passed` if first (restricted to box) then second has the
+        images of expected, else FAIL at locator against shown."""
+        try:
+            if box is not None:
+                first = first.restrict(box)
+            comp = compose(first, second, samples=samples, seed=seed)
+        except MorphismError as exc:
+            rep.fail(locator, str(exc), "composable")
+            return
+        if comp.same_images(expected):
+            rep.ok(passed)
+        else:
+            rep.fail(locator, comp.base_images + comp.gen_images, shown)
+
     for (a, b), t in sorted(atlas.transitions.items()):
         if a == b:
             if t.same_images(Morphism.identity(t.source)):
@@ -379,19 +387,9 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
         t_ab = atlas.transitions[(a, b)]
         t_ba = atlas.transitions[(b, a)]
         for first, second, x, y in ((t_ab, t_ba, a, b), (t_ba, t_ab, b, a)):
-            try:
-                round_trip = compose(first, second, samples=samples, seed=seed)
-            except MorphismError as exc:
-                rep.fail("pair (%s,%s)" % (nm[x], nm[y]), str(exc), "composable")
-                continue
-            if round_trip.same_images(Morphism.identity(first.source)):
-                rep.ok("pair (%s,%s) inverts" % (nm[x], nm[y]))
-            else:
-                from .expr import render_element
-                rep.fail("pair (%s,%s)" % (nm[x], nm[y]),
-                         "; ".join(render_element(e) for e in round_trip.base_images
-                                   + round_trip.gen_images),
-                         "identity images")
+            locator = "pair (%s,%s)" % (nm[x], nm[y])
+            composite(locator, locator + " inverts", first, second,
+                      Morphism.identity(first.source), "identity images")
     for (a, b) in sorted(atlas.transitions):
         for c in range(len(atlas.charts)):
             if len({a, b, c}) != 3:
@@ -399,26 +397,13 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
             if (b, c) not in atlas.transitions or (a, c) not in atlas.transitions:
                 continue
             t_ab = atlas.transitions[(a, b)]
-            t_bc = atlas.transitions[(b, c)]
             t_ac = atlas.transitions[(a, c)]
             common = intersect_boxes(t_ab.source.box, t_ac.source.box)
             if common is None:
                 continue
             locator = "triple (%s,%s,%s)" % (nm[a], nm[b], nm[c])
-            try:
-                comp = compose(t_ab.restrict(common), t_bc, samples=samples, seed=seed)
-            except MorphismError as exc:
-                rep.fail(locator, str(exc), "composable")
-                continue
-            if comp.same_images(t_ac):
-                rep.ok(locator)
-            else:
-                from .expr import render_element
-                rep.fail(locator,
-                         "; ".join(render_element(e) for e in comp.base_images
-                                   + comp.gen_images),
-                         "; ".join(render_element(e) for e in t_ac.base_images
-                                   + t_ac.gen_images))
+            composite(locator, locator, t_ab, atlas.transitions[(b, c)], t_ac,
+                      t_ac.base_images + t_ac.gen_images, box=common)
     return rep
 
 

@@ -1,6 +1,21 @@
-"""Line-oriented check reports shared by the verification operations."""
+"""Line-oriented check reports: the one place where a verification
+operation compares the two sides of an identity, renders them and locates
+a counterexample."""
 
 from __future__ import annotations
+
+from . import expr
+
+
+def render(side) -> str:
+    """Report text of one side: a string unchanged, a list or tuple of
+    elements joined by "; ", an element in normal form.  Called only for a
+    FAIL line; `expr.render_element` is looked up on its module per call."""
+    if isinstance(side, str):
+        return side
+    if isinstance(side, (list, tuple)):
+        return "; ".join(expr.render_element(e) for e in side)
+    return expr.render_element(side)
 
 
 class CheckReport:
@@ -18,9 +33,27 @@ class CheckReport:
     def ok(self, locator: str):
         self.lines.append("PASS %s" % locator)
 
-    def fail(self, locator: str, lhs: str, rhs: str):
-        self.lines.append("FAIL %s: lhs=%s rhs=%s" % (locator, lhs, rhs))
+    def fail(self, locator: str, lhs, rhs):
+        self.lines.append("FAIL %s: lhs=%s rhs=%s" % (locator, render(lhs), render(rhs)))
         self.failures += 1
+
+    def compare(self, locator: str, lhs, rhs):
+        """PASS if the two sides are equal, else FAIL with both."""
+        if lhs == rhs:
+            self.ok(locator)
+        else:
+            self.fail(locator, lhs, rhs)
+
+    def first_counterexample(self, passed: str, probes, sides, locate):
+        """Compute sides(probe) for one probe at a time.  PASS `passed` if
+        the two sides agree on every probe; else FAIL at locate(probe) of
+        the first probe where they differ, with both sides."""
+        for probe in probes:
+            lhs, rhs = sides(probe)
+            if lhs != rhs:
+                self.fail(locate(probe), lhs, rhs)
+                return
+        self.ok(passed)
 
     def note(self, text: str):
         self.lines.append(text)

@@ -166,7 +166,8 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
             raise SessionError("not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise SessionError("session must be a JSON object")
-    if data.get("format") != 1:
+    # exactly the integer 1: True and 1.0 compare equal to it
+    if type(data.get("format")) is not int or data["format"] != 1:
         raise SessionError("missing or unsupported 'format' (expected 1)")
 
     s = Session()

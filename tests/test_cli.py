@@ -177,6 +177,19 @@ def test_out_file(tmp_path, capsys):
     assert report.read_text().splitlines()[0] == "qk structure check: PASS"
 
 
+@pytest.mark.parametrize("argv, session", [
+    (("check-monoid",), "table1.json"),
+    (("verify-atlas", "broken_bundle"), "two_charts.json"),
+    (("invert", "t"), "geometric.json"),
+], ids=["lines", "failed-report", "fail-line"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv, session):
+    out = tmp_path / "missing" / "report.txt"
+    code, stdout, err = run(capsys, *argv, "--session", str(SESSIONS / session),
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
@@ -280,6 +293,9 @@ def test_non_integer_option_and_grading_size_are_input_errors(tmp_path, capsys):
     for grading in ({"kind": "int_power", "k": "two"},
                     {"kind": "nat_power", "k": 2.5}, {"kind": "z2_power", "n": True}):
         cases.append(dict(base_session(), grading=grading))
+    # True and 1.0 compare equal to 1 but are not the format number
+    for fmt in (True, 1.0):
+        cases.append(dict(base_session(), format=fmt))
     for data in cases:
         code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
         assert code == 2

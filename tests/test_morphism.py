@@ -238,6 +238,22 @@ def test_check_homomorphism_shift():
     assert any("multiplicativity" in line for line in rep.lines)
 
 
+def test_check_homomorphism_reports_truncation_loss():
+    # t^2 vanishes at truncation 1, but its image (u*v)^2 survives at 4:
+    # the FAIL line comes from inside the sample loop, before the PASS lines
+    tgt = GeneratorSpec(NatPower(1), 0, [4], truncation=1, names=["t"])
+    src = GeneratorSpec(NatPower(1), 0, [2, 2], truncation=4, names=["u", "v"])
+    uv = GradedElement.gen(src, 0) * GradedElement.gen(src, 1)
+    m = Morphism(DomainSpec(src), DomainSpec(tgt), [], [uv])
+    rep = check_homomorphism(m, samples=20, seed=0)
+    assert rep.text() == "\n".join([
+        "homomorphism check: FAIL (1)",
+        "PASS unit",
+        "FAIL multiplicativity sample 2: lhs=4/3*u*v rhs=4/3*u*v + 5/2*u^2*v^2",
+        "PASS additivity (20 samples)",
+        "PASS degree preservation (20 samples)"])
+
+
 # -- range condition ----------------------------------------------------------------
 
 def test_range_condition_enforced():
@@ -277,9 +293,9 @@ def test_cocycle_sign_flip_consistent():
 
 def test_cocycle_sign_flip_broken():
     rep = check_cocycle(sign_atlas(flip_back=False))
-    assert not rep.passed
-    assert any(line.startswith("FAIL pair (U,V)") or
-               line.startswith("FAIL pair (V,U)") for line in rep.lines)
+    assert rep.text() == ("atlas cocycle check: FAIL (2)\n"
+                          "FAIL pair (U,V): lhs=x1; -th[1,1] rhs=identity images\n"
+                          "FAIL pair (V,U): lhs=x1; -th[1,1] rhs=identity images")
 
 
 def test_atlas_requires_reverse_transition():
@@ -312,8 +328,16 @@ def test_triple_cocycle():
 
     assert check_cocycle(atlas_with(6)).passed
     rep = check_cocycle(atlas_with(5))
-    assert not rep.passed
-    assert any("triple" in line for line in rep.lines if line.startswith("FAIL"))
+    assert rep.text() == "\n".join(
+        ["atlas cocycle check: FAIL (6)"]
+        + ["PASS pair (%s) inverts" % pair
+           for pair in ("A,B", "B,A", "A,C", "C,A", "B,C", "C,B")]
+        + ["FAIL triple (A,B,C): lhs=x1; 6*th[1,1] rhs=x1; 5*th[1,1]",
+           "FAIL triple (A,C,B): lhs=x1; 5/3*th[1,1] rhs=x1; 2*th[1,1]",
+           "FAIL triple (B,A,C): lhs=x1; 5/2*th[1,1] rhs=x1; 3*th[1,1]",
+           "FAIL triple (B,C,A): lhs=x1; 3/5*th[1,1] rhs=x1; 1/2*th[1,1]",
+           "FAIL triple (C,A,B): lhs=x1; 2/5*th[1,1] rhs=x1; 1/3*th[1,1]",
+           "FAIL triple (C,B,A): lhs=x1; 1/6*th[1,1] rhs=x1; 1/5*th[1,1]"])
 
 
 # -- split models -----------------------------------------------------------------
@@ -342,8 +366,9 @@ def test_split_model_sign_line_bundle():
 def test_split_model_bad_inverse_detected():
     atlas = two_chart_split([1], {1: [[2]]}, {1: [[Fraction(1, 3)]]})
     rep = check_cocycle(atlas)
-    assert not rep.passed
-    assert any(line.startswith("FAIL pair") for line in rep.lines)
+    assert rep.text() == ("atlas cocycle check: FAIL (2)\n"
+                          "FAIL pair (U,V): lhs=x1; 2/3*th[1,1] rhs=identity images\n"
+                          "FAIL pair (V,U): lhs=x1; 2/3*th[1,1] rhs=identity images")
 
 
 def test_split_model_matrix_shape_checked():

@@ -12,6 +12,10 @@ where `variable` is x1..xn, `generator` is th[degree,index] with the degree
 an integer or a tuple literal like (1,0), and NAME is a declared generator
 name.  Parentheses and unary minus nest at most MAX_NESTING deep.
 
+One evaluator reads this grammar straight into the algebra of a
+`GeneratorSpec`; `parse_poly` is its generator-free case, the body of an
+element over a spec with no generators.
+
 Rendering emits terms sorted by generator word (short words first), then
 by base monomial in descending graded-lexicographic order; this is the only
 place the canonical term order is applied, and parsing the rendered form
@@ -24,8 +28,8 @@ import re
 from fractions import Fraction
 
 from .basecoeff import BasePoly
-from .galgebra import GeneratorSpec, GradedElement
-from .grading import FiniteTable, GradingError
+from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
+from .grading import FiniteTable, GradingError, NatPower
 
 
 class ExprError(ValueError):
@@ -40,40 +44,33 @@ class ExprError(ValueError):
 # factors open at once bounds the parser's recursion.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()\[\],/]))")
+# every non-blank character starts a token; `bad` catches the ones no
+# other group reads
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>%s)|(?P<sym>[+\-*^()\[\],/])|(?P<bad>\S))"
+                       % NAME_PATTERN)
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprError("unexpected character %r" % text[bad], bad)
-        if m.group(1) is not None:
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("sym", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "bad":
+            raise ExprError("unexpected character %r" % value, m.start(kind))
+        tokens.append((kind, int(value) if kind == "num" else value, m.start(kind)))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent evaluator; builds values through a context object
-    so the same grammar serves graded elements and plain polynomials."""
+    """Recursive-descent evaluator straight into the algebra of one
+    `GeneratorSpec`: atoms become scalars, variables and generators of that
+    spec, and a sum of several terms accumulates in one `TermSum`."""
 
-    def __init__(self, text: str, ctx):
-        self.text = text
+    def __init__(self, text: str, spec: GeneratorSpec):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.ctx = ctx
+        self.spec = spec
         self.depth = 0
 
     def peek(self):
@@ -87,15 +84,18 @@ class _Parser:
         return tok
 
     def expect(self, sym: str):
-        tok = self.tokens[self.i]
-        if tok[0] != "sym" or tok[1] != sym:
+        if self.accept(sym) is None:
+            tok = self.peek()
             raise ExprError("expected %r, found %r" % (sym, tok[1]), tok[2])
-        self.i += 1
-        return tok
 
-    def at_sym(self, *values) -> bool:
-        tok = self.peek()
-        return tok[0] == "sym" and tok[1] in values
+    def accept(self, *values):
+        """Take the next token if it is one of the symbols `values` and
+        return that symbol; otherwise take nothing and return None."""
+        tok = self.tokens[self.i]
+        if tok[0] == "sym" and tok[1] in values:
+            self.i += 1
+            return tok[1]
+        return None
 
     def parse(self):
         value = self.expr()
@@ -106,16 +106,20 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while self.at_sym("+", "-"):
-            op = self.take()[1]
+        op = self.accept("+", "-")
+        if op is None:
+            return value
+        total = TermSum(self.spec)
+        total.add(value)
+        while op is not None:
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            total.add(rhs if op == "+" else -rhs)
+            op = self.accept("+", "-")
+        return total.element()
 
     def term(self):
         value = self.factor()
-        while self.at_sym("*"):
-            self.take()
+        while self.accept("*"):
             value = value * self.factor()
         return value
 
@@ -123,8 +127,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprError("nesting deeper than %d" % MAX_NESTING, self.peek()[2])
-        if self.at_sym("-"):
-            self.take()
+        if self.accept("-"):
             value = -self.factor()
         else:
             value = self.power()
@@ -133,8 +136,7 @@ class _Parser:
 
     def power(self):
         value = self.atom()
-        if self.at_sym("^"):
-            self.take()
+        if self.accept("^"):
             tok = self.take("num", "exponent")
             value = value ** tok[1]
         return value
@@ -144,40 +146,46 @@ class _Parser:
         if tok[0] == "num":
             self.take()
             value = Fraction(tok[1])
-            if self.at_sym("/"):
-                self.take()
+            if self.accept("/"):
                 den = self.take("num", "denominator")
                 if den[1] == 0:
                     raise ExprError("zero denominator", den[2])
                 value = Fraction(tok[1], den[1])
-            return self.ctx.const(value)
+            return GradedElement.scalar(self.spec, value)
         if tok[0] == "name":
             self.take()
-            if tok[1] == "th" and self.at_sym("["):
+            if tok[1] == "th" and self.accept("["):
                 return self.generator_ref(tok[2])
-            return self.ctx.symbol(tok[1], tok[2])
-        if self.at_sym("("):
-            self.take()
+            return self.symbol(tok[1], tok[2])
+        if self.accept("("):
             value = self.expr()
             self.expect(")")
             return value
         raise ExprError("expected a value, found %r" % (tok[1],), tok[2])
 
+    def symbol(self, name: str, at: int):
+        spec = self.spec
+        m = re.fullmatch(r"x(\d+)", name)
+        if m:
+            mu = int(m.group(1))
+            if not 1 <= mu <= spec.nvars:
+                raise ExprError("variable %s out of range 1..%d" % (name, spec.nvars), at)
+            return GradedElement.variable(spec, mu)
+        pos = spec.position_of_name(name)
+        if pos is None:
+            raise ExprError("unknown symbol %r" % name, at)
+        return GradedElement.gen(spec, pos)
+
     def signed_int(self) -> int:
-        neg = False
-        if self.at_sym("-"):
-            self.take()
-            neg = True
+        neg = self.accept("-")
         tok = self.take("num", "integer")
         return -tok[1] if neg else tok[1]
 
     def generator_ref(self, at: int):
-        self.expect("[")
-        if self.at_sym("("):
-            self.take()
+        """The generator th[degree,index] whose '[' was just taken."""
+        if self.accept("("):
             comps = [self.signed_int()]
-            while self.at_sym(","):
-                self.take()
+            while self.accept(","):
                 comps.append(self.signed_int())
             self.expect(")")
             degree = tuple(comps)
@@ -186,30 +194,6 @@ class _Parser:
         self.expect(",")
         index = self.take("num", "generator index")[1]
         self.expect("]")
-        return self.ctx.generator(degree, index, at)
-
-
-class _ElementContext:
-    def __init__(self, spec: GeneratorSpec):
-        self.spec = spec
-
-    def const(self, value: Fraction):
-        return GradedElement.scalar(self.spec, value)
-
-    def symbol(self, name: str, at: int):
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            mu = int(m.group(1))
-            if not 1 <= mu <= self.spec.nvars:
-                raise ExprError("variable %s out of range 1..%d"
-                                % (name, self.spec.nvars), at)
-            return GradedElement.variable(self.spec, mu)
-        pos = self.spec.position_of_name(name)
-        if pos is None:
-            raise ExprError("unknown symbol %r" % name, at)
-        return GradedElement.gen(self.spec, pos)
-
-    def generator(self, degree, index: int, at: int):
         try:
             pos = self.spec.position_of(degree, index)
         except (GradingError, ValueError) as exc:
@@ -217,32 +201,13 @@ class _ElementContext:
         return GradedElement.gen(self.spec, pos)
 
 
-class _PolyContext:
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-
-    def const(self, value: Fraction):
-        return BasePoly.const(self.nvars, value)
-
-    def symbol(self, name: str, at: int):
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            mu = int(m.group(1))
-            if not 1 <= mu <= self.nvars:
-                raise ExprError("variable %s out of range 1..%d" % (name, self.nvars), at)
-            return BasePoly.var(self.nvars, mu)
-        raise ExprError("unknown symbol %r" % name, at)
-
-    def generator(self, degree, index, at):
-        raise ExprError("generators are not allowed in a base polynomial", at)
-
-
 def parse_element(text: str, spec: GeneratorSpec) -> GradedElement:
-    return _Parser(text, _ElementContext(spec)).parse()
+    return _Parser(text, spec).parse()
 
 
 def parse_poly(text: str, nvars: int) -> BasePoly:
-    return _Parser(text, _PolyContext(nvars)).parse()
+    """A base polynomial: the generator-free case of `parse_element`."""
+    return parse_element(text, GeneratorSpec(NatPower(1), nvars, [])).body()
 
 
 # ---------------------------------------------------------------------------

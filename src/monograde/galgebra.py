@@ -29,6 +29,10 @@ from .basecoeff import BasePoly, add_product, add_terms, strip_zeros
 from .grading import GradingSpec
 
 
+# The token a generator name must be: the expression grammar's NAME.
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
 class AlgebraError(ValueError):
     """Inconsistent algebra data (mixed specs, bad generator references)."""
 
@@ -75,8 +79,11 @@ class GeneratorSpec:
         for d, nm in zip(degrees, names):
             if d == zero:
                 raise AlgebraError("generators must have nonzero degree")
-            if nm is not None and (nm == "th" or re.fullmatch(r"x\d+", nm)):
-                raise AlgebraError("generator name %r is reserved syntax" % nm)
+            if nm is not None:
+                if not isinstance(nm, str) or not re.fullmatch(NAME_PATTERN, nm):
+                    raise AlgebraError("generator name %r must match %s" % (nm, NAME_PATTERN))
+                if nm == "th" or re.fullmatch(r"x\d+", nm):
+                    raise AlgebraError("generator name %r is reserved syntax" % nm)
             if grading.parity(grading.mul(d, d)) != grading.parity(d):
                 raise AlgebraError("degree %s squares to the opposite parity; "
                                    "no consistent exponent range exists"

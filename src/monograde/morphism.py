@@ -164,6 +164,12 @@ def _substitute(g: BasePoly, spec: GeneratorSpec, images, cache: dict) -> Graded
 # morphisms
 # ---------------------------------------------------------------------------
 
+def _identity_images(spec: GeneratorSpec) -> tuple:
+    """(base images, generator images) of the identity map of spec."""
+    return (tuple(GradedElement.variable(spec, mu + 1) for mu in range(spec.nvars)),
+            tuple(GradedElement.gen(spec, pos) for pos in range(spec.ngens)))
+
+
 class Morphism:
     """A morphism of graded domains, stored as its coordinate images.
 
@@ -217,10 +223,7 @@ class Morphism:
 
     @classmethod
     def identity(cls, domain: DomainSpec) -> "Morphism":
-        spec = domain.genspec
-        return cls(domain, domain,
-                   [GradedElement.variable(spec, mu + 1) for mu in range(spec.nvars)],
-                   [GradedElement.gen(spec, pos) for pos in range(spec.ngens)])
+        return cls(domain, domain, *_identity_images(domain.genspec))
 
     def restrict(self, box) -> "Morphism":
         return Morphism(DomainSpec(self.source.genspec, box), self.target,
@@ -250,13 +253,13 @@ class Morphism:
         """The point map between the base boxes: the bodies of the base images."""
         return [y.body() for y in self.base_images]
 
-    def same_images(self, other: "Morphism") -> bool:
-        return (self.base_images == other.base_images
-                and self.gen_images == other.gen_images)
+    @property
+    def images(self) -> tuple:
+        return self.base_images, self.gen_images
 
     def __eq__(self, other):
         return (isinstance(other, Morphism) and self.source == other.source
-                and self.target == other.target and self.same_images(other))
+                and self.target == other.target and self.images == other.images)
 
     def __repr__(self):
         return "Morphism(%r -> %r)" % (self.source, self.target)
@@ -361,7 +364,7 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
 
     def composite(locator, passed, first, second, expected, shown, box=None):
         """PASS `passed` if first (restricted to box) then second has the
-        images of expected, else FAIL at locator against shown."""
+        images `expected`, else FAIL at locator against shown."""
         try:
             if box is not None:
                 first = first.restrict(box)
@@ -369,14 +372,14 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
         except MorphismError as exc:
             rep.fail(locator, str(exc), "composable")
             return
-        if comp.same_images(expected):
+        if comp.images == expected:
             rep.ok(passed)
         else:
             rep.fail(locator, comp.base_images + comp.gen_images, shown)
 
     for (a, b), t in sorted(atlas.transitions.items()):
         if a == b:
-            if t.same_images(Morphism.identity(t.source)):
+            if t.images == _identity_images(t.source.genspec):
                 rep.ok("self (%s,%s) is the identity" % (nm[a], nm[b]))
             else:
                 rep.fail("self (%s,%s)" % (nm[a], nm[b]), "declared transition",
@@ -389,7 +392,7 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
         for first, second, x, y in ((t_ab, t_ba, a, b), (t_ba, t_ab, b, a)):
             locator = "pair (%s,%s)" % (nm[x], nm[y])
             composite(locator, locator + " inverts", first, second,
-                      Morphism.identity(first.source), "identity images")
+                      _identity_images(first.source.genspec), "identity images")
     for (a, b) in sorted(atlas.transitions):
         for c in range(len(atlas.charts)):
             if len({a, b, c}) != 3:
@@ -402,7 +405,7 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
             if common is None:
                 continue
             locator = "triple (%s,%s,%s)" % (nm[a], nm[b], nm[c])
-            composite(locator, locator, t_ab, atlas.transitions[(b, c)], t_ac,
+            composite(locator, locator, t_ab, atlas.transitions[(b, c)], t_ac.images,
                       t_ac.base_images + t_ac.gen_images, box=common)
     return rep
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from monograde import cli, parse_element, render_element
+from monograde import Morphism, check_cocycle, cli, parse_element, render_element
 from monograde.cli import main
 from monograde.session import SessionError, load_session
 
@@ -152,6 +152,79 @@ def test_check_descent_and_exact(capsys):
     code, out, _ = run(capsys, "check-exact", "Q", "d", "zeros", "zeros",
                        "--session", str(SESSIONS / "qk_model.json"))
     assert code == 0
+
+
+def test_check_descent_open_seed(tmp_path, capsys):
+    data = json.loads((SESSIONS / "qk_model.json").read_text())
+    data["sequences"]["open"] = {"domain": "M", "entries": ["psi", "0"]}
+    code, out, _ = run_session(tmp_path, capsys, data, "check-descent", "Q", "d", "open")
+    assert code == 1
+    assert out == ("descent equation check: FAIL (1)\n"
+                   "FAIL p=0: lhs=phi rhs=0\n"
+                   "PASS p=1\n")
+
+
+@pytest.mark.parametrize("grading, counts", [
+    ({"kind": "cyclic_product", "orders": [2, 3]}, "even part 3, odd part 3: equal"),
+    ({"kind": "z2_power", "n": 2}, "even part 2, odd part 2: equal"),
+])
+def test_check_monoid_finite_cancellative(tmp_path, capsys, grading, counts):
+    code, out, _ = run_session(tmp_path, capsys, {"format": 1, "grading": grading},
+                               "check-monoid")
+    assert code == 0
+    assert out == ("monoid kind: %s\n"
+                   "cancellative: yes\n"
+                   "%s\n"
+                   "parity homomorphism: validated at construction\n"
+                   % (grading["kind"], counts))
+
+
+def self_transition_session():
+    """two_charts.json with self-transitions: U->U the identity, V->V not."""
+    data = json.loads((SESSIONS / "two_charts.json").read_text())
+    whole = [[-2, 2]]
+    data["atlases"] = {"selfish": {"charts": ["U", "V"], "transitions": [
+        {"source": "U", "target": "U", "overlap": whole,
+         "base_images": ["x1"], "generator_images": ["thU"]},
+        {"source": "V", "target": "V", "overlap": whole,
+         "base_images": ["x1"], "generator_images": ["-thV"]},
+        data["atlases"]["sign_bundle"]["transitions"][0],
+        data["atlases"]["sign_bundle"]["transitions"][1]]}}
+    return data
+
+
+def test_verify_atlas_self_transitions(tmp_path, capsys, monkeypatch):
+    data = self_transition_session()
+    code, out, _ = run_session(tmp_path, capsys, data, "verify-atlas", "selfish")
+    assert code == 1
+    assert out == ("atlas cocycle check: FAIL (1)\n"
+                   "PASS self (U,U) is the identity\n"
+                   "FAIL self (V,V): lhs=declared transition rhs=identity\n"
+                   "PASS pair (U,V) inverts\n"
+                   "PASS pair (V,U) inverts\n")
+    # the identity is compared by its images; only the two composites of
+    # the pair are built as morphisms
+    s = load_session(data)
+    built = []
+    init = Morphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    check_cocycle(s.atlases["selfish"], samples=s.samples, seed=s.seed)
+    assert len(built) == 2
+
+
+def test_unreadable_generator_name_is_input_error(tmp_path, capsys):
+    # a generator named "2" would render th[2,1] + x1 as "x1 + 2", a constant
+    data = {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "domains": {"U": {"vars": 1, "generators": [{"degree": 2, "name": "2"}]}},
+            "elements": {"f": {"domain": "U", "expr": "th[2,1] + x1"}}}
+    code, out, err = run_session(tmp_path, capsys, data, "normalize", "f")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: domain 'U': generator name '2'")
 
 
 def test_input_errors(capsys):

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monograde import (ExprError, GeneratorSpec, GradedElement, IntPower,
                        NatPower, parse_element, parse_poly, render_element,
@@ -77,8 +79,10 @@ def test_unknown_generator_degree():
 
 
 def test_generators_rejected_in_polynomials():
-    with pytest.raises(ExprError):
-        parse_poly("th[1,1]", 1)
+    # a base polynomial is an element over a spec with no generators
+    with pytest.raises(ExprError) as err:
+        parse_poly("x1 + th[1,1]", 1)
+    assert str(err.value) == "no generator of degree 1 with index 1 (at position 5)"
     assert render_poly(parse_poly("x1^2 - x2 + 1/3", 2)) == "x1^2 - x2 + 1/3"
 
 
@@ -121,3 +125,47 @@ def test_round_trip_random_elements():
             again = parse_element(text, spec)
             assert again == e
             assert render_element(again) == text
+
+
+# the message and position the parser reports for each malformed input
+SYNTAX_ERRORS = [
+    ("x1 $ 2", "unexpected character '$'", 3),
+    ("x1 2", "trailing input 2", 3),
+    ("1/0", "zero denominator", 2),
+    ("(x1", "expected ')', found None", 3),
+    ("x1^", "expected exponent, found None", 3),
+    ("th[1 1]", "expected ',', found 1", 5),
+    ("th[1,]", "expected generator index, found ']'", 5),
+    ("", "expected a value, found None", 0),
+    ("   ", "expected a value, found None", 3),
+    ("x1^-1", "expected exponent, found '-'", 3),
+    ("2x1", "trailing input 'x1'", 1),
+    ("1/2/3", "trailing input '/'", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", SYNTAX_ERRORS)
+def test_syntax_error_message_and_position(text, message, pos):
+    with pytest.raises(ExprError) as err:
+        parse_element(text, nat1_spec())
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+    assert err.value.pos == pos
+
+
+FUZZ_TOKENS = ("x1 x2 x0 t th u [ ] ( ) , + - * ^ / 0 1 2 3 4 5 6 7 8 9 $ "
+               "(1,0) (0,-1)").split()
+FUZZ_SPECS = (
+    GeneratorSpec(NatPower(1), 2, [1, 1, 2], truncation=3, names=["u", None, "t"]),
+    GeneratorSpec(IntPower(2), 1, [(1, 0), (0, -1), (1, 0)], truncation=3,
+                  names=[None, "t", "u"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14), st.sampled_from(FUZZ_SPECS))
+def test_token_sequences_parse_back_or_raise_expr_error(tokens, spec):
+    try:
+        element = parse_element(" ".join(tokens), spec)
+    except ExprError:
+        return
+    assert parse_element(render_element(element), spec) == element

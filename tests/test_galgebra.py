@@ -5,8 +5,8 @@ from random import Random
 
 import pytest
 
-from monograde import (BasePoly, GeneratorSpec, GradedElement, IntPower,
-                       NatPower, NotInvertible, Z2Power, parse_element,
+from monograde import (AlgebraError, BasePoly, GeneratorSpec, GradedElement,
+                       IntPower, NatPower, NotInvertible, Z2Power, parse_element,
                        render_element)
 from monograde.sampling import random_element, random_homogeneous, random_poly
 
@@ -330,3 +330,20 @@ def test_truncation_flag():
     assert dropped.truncated
     exact = t + t
     assert not exact.truncated
+
+
+@pytest.mark.parametrize("name", ["2", "t-1", "a b", "\u03b8", "", "1t", 5,
+                                  "th", "x1", "x01"])
+def test_generator_names_are_readable_and_unreserved(name):
+    # a name the grammar cannot read as one NAME token would render to text
+    # that parses to a different element, or not at all
+    with pytest.raises(AlgebraError):
+        GeneratorSpec(NatPower(1), 1, [2], names=[name])
+
+
+@pytest.mark.parametrize("name", ["t", "_a", "thU", "x", "xa", "x1a", "theta2"])
+def test_generator_names_round_trip(name):
+    spec = GeneratorSpec(NatPower(1), 1, [2], names=[name])
+    e = E("%s + x1" % name, spec)
+    assert render_element(e) == "x1 + %s" % name
+    assert E(render_element(e), spec) == e

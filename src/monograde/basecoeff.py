@@ -124,14 +124,16 @@ class BasePoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a natural number")
-        result = BasePoly.const(self.nvars, 1)
+        # square only while a higher exponent bit is left to use
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return BasePoly.const(self.nvars, 1) if result is None else result
+            base = base * base
 
     def __eq__(self, other):
         return (isinstance(other, BasePoly) and self.nvars == other.nvars

@@ -14,7 +14,15 @@ name.  Parentheses and unary minus nest at most MAX_NESTING deep.
 
 One evaluator reads this grammar straight into the algebra of a
 `GeneratorSpec`; `parse_poly` is its generator-free case, the body of an
-element over a spec with no generators.
+element over a spec with no generators.  Its atom reader takes each plain
+atom (rational, variable or generator) once, with its exponent, and
+multiplies it into the running product of its term in one pass over that
+product's terms (`GradedElement._scale`, `times_variable`, `times_gen`);
+negated and parenthesised factors take the general product.  Factors
+multiply left to right with the `truncated` flag of repeated `*`: a word
+longer than the truncation order, or an even generator power longer on
+its own, leaves a flagged zero even if a later factor is 0, while a
+repeated odd generator gives an unflagged zero.
 
 Rendering emits terms sorted by generator word (short words first), then
 by base monomial in descending graded-lexicographic order; this is the only
@@ -64,8 +72,9 @@ def _tokenize(text: str):
 
 class _Parser:
     """Recursive-descent evaluator straight into the algebra of one
-    `GeneratorSpec`: atoms become scalars, variables and generators of that
-    spec, and a sum of several terms accumulates in one `TermSum`."""
+    `GeneratorSpec`: each atom power multiplies into its term's running
+    product in one pass, and a sum of several terms accumulates in one
+    `TermSum`."""
 
     def __init__(self, text: str, spec: GeneratorSpec):
         self.tokens = _tokenize(text)
@@ -118,30 +127,38 @@ class _Parser:
         return total.element()
 
     def term(self):
-        value = self.factor()
+        value = self.factor(None)
         while self.accept("*"):
-            value = value * self.factor()
+            value = self.factor(value)
         return value
 
-    def factor(self):
+    def factor(self, left):
+        """`left` times the next factor; None for `left` starts a term.
+        An atom power multiplies into `left` in one pass over its terms,
+        negated and parenthesised factors through the general product."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprError("nesting deeper than %d" % MAX_NESTING, self.peek()[2])
         if self.accept("-"):
-            value = -self.factor()
+            value = -self.factor(None)
+        elif self.accept("("):
+            value = self.expr()
+            self.expect(")")
+            if self.accept("^"):
+                value = value ** self.take("num", "exponent")[1]
         else:
-            value = self.power()
+            self.depth -= 1
+            return self.atom_power(GradedElement.one(self.spec) if left is None else left)
         self.depth -= 1
-        return value
+        return value if left is None else left * value
 
-    def power(self):
-        value = self.atom()
-        if self.accept("^"):
-            tok = self.take("num", "exponent")
-            value = value ** tok[1]
-        return value
+    def exponent(self) -> int:
+        """The exponent after an optional '^', 1 without one."""
+        return self.take("num", "exponent")[1] if self.accept("^") else 1
 
-    def atom(self):
+    def atom_power(self, left):
+        """`left` times the next plain atom (rational, variable or
+        generator) raised to its exponent."""
         tok = self.peek()
         if tok[0] == "num":
             self.take()
@@ -151,30 +168,23 @@ class _Parser:
                 if den[1] == 0:
                     raise ExprError("zero denominator", den[2])
                 value = Fraction(tok[1], den[1])
-            return GradedElement.scalar(self.spec, value)
-        if tok[0] == "name":
-            self.take()
-            if tok[1] == "th" and self.accept("["):
-                return self.generator_ref(tok[2])
-            return self.symbol(tok[1], tok[2])
-        if self.accept("("):
-            value = self.expr()
-            self.expect(")")
-            return value
-        raise ExprError("expected a value, found %r" % (tok[1],), tok[2])
-
-    def symbol(self, name: str, at: int):
-        spec = self.spec
+            return left._scale(value ** self.exponent())
+        if tok[0] != "name":
+            raise ExprError("expected a value, found %r" % (tok[1],), tok[2])
+        self.take()
+        name, at = tok[1], tok[2]
+        if name == "th" and self.accept("["):
+            return left.times_gen(self.generator_ref(at), self.exponent())
         m = re.fullmatch(r"x(\d+)", name)
         if m:
             mu = int(m.group(1))
-            if not 1 <= mu <= spec.nvars:
-                raise ExprError("variable %s out of range 1..%d" % (name, spec.nvars), at)
-            return GradedElement.variable(spec, mu)
-        pos = spec.position_of_name(name)
+            if not 1 <= mu <= self.spec.nvars:
+                raise ExprError("variable %s out of range 1..%d" % (name, self.spec.nvars), at)
+            return left.times_variable(mu, self.exponent())
+        pos = self.spec.position_of_name(name)
         if pos is None:
             raise ExprError("unknown symbol %r" % name, at)
-        return GradedElement.gen(spec, pos)
+        return left.times_gen(pos, self.exponent())
 
     def signed_int(self) -> int:
         neg = self.accept("-")
@@ -182,7 +192,8 @@ class _Parser:
         return -tok[1] if neg else tok[1]
 
     def generator_ref(self, at: int):
-        """The generator th[degree,index] whose '[' was just taken."""
+        """The position of the generator th[degree,index] whose '[' was
+        just taken."""
         if self.accept("("):
             comps = [self.signed_int()]
             while self.accept(","):
@@ -195,10 +206,9 @@ class _Parser:
         index = self.take("num", "generator index")[1]
         self.expect("]")
         try:
-            pos = self.spec.position_of(degree, index)
+            return self.spec.position_of(degree, index)
         except (GradingError, ValueError) as exc:
             raise ExprError(str(exc), at) from exc
-        return GradedElement.gen(self.spec, pos)
 
 
 def parse_element(text: str, spec: GeneratorSpec) -> GradedElement:

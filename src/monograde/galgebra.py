@@ -22,7 +22,6 @@ genuinely anticommute with odd ones in multi-component gradings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basecoeff import BasePoly, add_product, add_terms, strip_zeros
@@ -41,13 +40,32 @@ class NotInvertible(AlgebraError):
     """The element's body is not a unit, so no inverse exists."""
 
 
-@dataclass(frozen=True)
 class Generator:
     """One coordinate generator: a nonzero degree plus an index within it."""
 
-    degree: object
-    index: int
-    name: str | None = None
+    __slots__ = ("degree", "index", "name")
+
+    def __init__(self, degree, index: int, name: str | None = None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Generator is immutable")
+
+    def _key(self):
+        return (self.degree, self.index, self.name)
+
+    def __eq__(self, other):
+        if type(other) is not Generator:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Generator(degree=%r, index=%r, name=%r)" % self._key()
 
 
 class GeneratorSpec:
@@ -172,28 +190,6 @@ class GeneratorSpec:
             [g.degree for g in self.generators], self.truncation)
 
 
-def _sorted_word(spec: GeneratorSpec, word):
-    """Insertion-sort a raw occurrence word, tracking the commutation sign.
-
-    Returns (sign_bit, exponent_vector) or None when an odd generator would
-    be squared.
-    """
-    arr = list(word)
-    sign = 0
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            sign ^= spec.swap_bits[arr[j - 1]][arr[j]]
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
-    beta = [0] * spec.ngens
-    for g in arr:
-        beta[g] += 1
-        if beta[g] > 1 and spec.parities[g]:
-            return None
-    return sign, tuple(beta)
-
-
 def _word_product(spec: GeneratorSpec, beta, gamma):
     """Sign bit and exponent vector of word(beta) * word(gamma), or None
     when an odd generator gets repeated."""
@@ -296,21 +292,6 @@ class GradedElement:
         beta = tuple(1 if g == pos else 0 for g in range(spec.ngens))
         return cls._raw(spec, {beta: BasePoly.const(spec.nvars, 1)})
 
-    @classmethod
-    def from_raw_terms(cls, spec: GeneratorSpec, raw_terms) -> "GradedElement":
-        """Normalize a sum of (coefficient, occurrence word) pairs where the
-        words may list generator positions in any order."""
-        acc = []
-        for poly, word in raw_terms:
-            sw = _sorted_word(spec, word)
-            if sw is None:
-                continue
-            sign, beta = sw
-            if not isinstance(poly, BasePoly):
-                poly = BasePoly.const(spec.nvars, poly)
-            acc.append((beta, -poly if sign else poly))
-        return cls(spec, acc)
-
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):
@@ -359,14 +340,48 @@ class GradedElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a natural number")
-        result = GradedElement.one(self.spec)
+        # square only while a higher exponent bit is left to use
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return GradedElement.one(self.spec) if result is None else result
+            base = base * base
+
+    def times_variable(self, mu: int, e: int) -> "GradedElement":
+        """self * x_mu**e in one pass over the terms."""
+        k = mu - 1
+        return GradedElement._raw(self.spec, {
+            beta: BasePoly._raw(poly.nvars, {exps[:k] + (exps[k] + e,) + exps[k + 1:]: coeff
+                                             for exps, coeff in poly.terms.items()})
+            for beta, poly in self.terms.items()}, self.truncated)
+
+    def times_gen(self, pos: int, e: int) -> "GradedElement":
+        """self * gen(pos)**e in one pass over the terms, with exactly the
+        terms and truncation flag of that product."""
+        spec = self.spec
+        truncated = self.truncated
+        if spec.parities[pos] and e > 1:
+            # an odd square is zero before any word grows: no drop to flag
+            return GradedElement._raw(spec, {}, truncated)
+        if e > spec.truncation:
+            # too long on its own: a flagged zero whatever it multiplies
+            return GradedElement._raw(spec, {}, True)
+        gamma = tuple(e if h == pos else 0 for h in range(spec.ngens))
+        terms = {}
+        for beta, poly in self.terms.items():
+            sw = _word_product(spec, beta, gamma)
+            if sw is None:
+                continue
+            if sum(beta) + e > spec.truncation:
+                truncated = True
+                continue
+            sign, word = sw
+            terms[word] = -poly if sign else poly
+        return GradedElement._raw(spec, terms, truncated)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
@@ -374,9 +389,12 @@ class GradedElement:
         return self._scale(Fraction(1) / Fraction(scalar))
 
     def _scale(self, c: Fraction):
-        total = TermSum(self.spec)
-        total.add(self, BasePoly.const(self.spec.nvars, c))
-        return total.element()
+        """self * c for a rational c, in one pass over the terms."""
+        if not c:
+            return GradedElement._raw(self.spec, {}, self.truncated)
+        return GradedElement._raw(self.spec, {
+            beta: BasePoly._raw(poly.nvars, {exps: coeff * c for exps, coeff in poly.terms.items()})
+            for beta, poly in self.terms.items()}, self.truncated)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, BasePoly)):

@@ -8,7 +8,6 @@ represented by formal differences (`KGroupElement`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 
 
@@ -389,12 +388,28 @@ def element_order(spec: GradingSpec, i):
 # group completion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class KGroupElement:
     """A formal difference pos - neg of two monoid elements."""
 
-    pos: object
-    neg: object
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos, neg):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KGroupElement is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not KGroupElement:
+            return NotImplemented
+        return self.pos == other.pos and self.neg == other.neg
+
+    def __hash__(self):
+        return hash((self.pos, self.neg))
+
+    def __repr__(self):
+        return "KGroupElement(pos=%r, neg=%r)" % (self.pos, self.neg)
 
 
 def k_element(spec: GradingSpec, pos, neg=None) -> KGroupElement:

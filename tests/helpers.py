@@ -139,13 +139,51 @@ def occurrences(beta):
     return out
 
 
+def sorted_word(spec: GeneratorSpec, word):
+    """Insertion-sort a raw occurrence word, tracking the commutation sign.
+
+    Returns (sign_bit, exponent_vector) or None when an odd generator would
+    be squared.
+    """
+    arr = list(word)
+    sign = 0
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            sign ^= spec.swap_bits[arr[j - 1]][arr[j]]
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    beta = [0] * spec.ngens
+    for g in arr:
+        beta[g] += 1
+        if beta[g] > 1 and spec.parities[g]:
+            return None
+    return sign, tuple(beta)
+
+
+def from_raw_terms(spec: GeneratorSpec, raw_terms) -> GradedElement:
+    """Normalize a sum of (coefficient, occurrence word) pairs where the
+    words may list generator positions in any order, through the public
+    validating constructor."""
+    acc = []
+    for poly, word in raw_terms:
+        sw = sorted_word(spec, word)
+        if sw is None:
+            continue
+        sign, beta = sw
+        if not isinstance(poly, BasePoly):
+            poly = BasePoly.const(spec.nvars, poly)
+        acc.append((beta, -poly if sign else poly))
+    return GradedElement(spec, acc)
+
+
 def mul_oracle(a: GradedElement, b: GradedElement) -> GradedElement:
     """Product by concatenating raw occurrence words and renormalizing."""
     raw = []
     for b1, p1 in a.terms.items():
         for b2, p2 in b.terms.items():
             raw.append((p1 * p2, occurrences(b1) + occurrences(b2)))
-    return GradedElement.from_raw_terms(a.spec, raw)
+    return from_raw_terms(a.spec, raw)
 
 
 def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement:

@@ -7,11 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monograde import BasePoly, parse_poly, render_poly
+from monograde import BasePoly, basecoeff, parse_poly, render_poly
+from monograde.sampling import random_poly
 
 
 def P(text, nvars=2):
     return parse_poly(text, nvars)
+
+
+def test_power_equals_repeated_product(monkeypatch):
+    rng = Random(13)
+    for _ in range(10):
+        p = random_poly(rng, 2)
+        repeated = BasePoly.const(2, 1)
+        for k in range(10):
+            assert p ** k == repeated
+            repeated = repeated * p
+    # squaring stops once no exponent bit is left to use
+    p = P("x1 - x2 + 1")
+    calls = []
+    product = basecoeff.add_product
+    monkeypatch.setattr(basecoeff, "add_product",
+                        lambda *args: calls.append(args) or product(*args))
+    for k in range(1, 10):
+        calls.clear()
+        p ** k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2
 
 
 def test_product_difference_of_squares():

@@ -1,5 +1,8 @@
 """Expression grammar and the canonical renderer."""
 
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from random import Random
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from monograde import (ExprError, GeneratorSpec, GradedElement, IntPower,
                        NatPower, parse_element, parse_poly, render_element,
                        render_poly)
+from monograde.expr import render_generator
 from monograde.sampling import random_element
 
 from helpers import nat1_spec, rich_int_spec
@@ -169,3 +173,85 @@ def test_token_sequences_parse_back_or_raise_expr_error(tokens, spec):
     except ExprError:
         return
     assert parse_element(render_element(element), spec) == element
+
+
+# u is odd and t even in both gradings, and over IntPower(2) the even t
+# anticommutes with u, which follows it in canonical order; at truncation
+# 2 and 3 the exponents 0..truncation+2 reach the odd square and the overflow
+ATOM_SPECS = [
+    GeneratorSpec(NatPower(1), 2, [1, 1, 2], truncation=n, names=["u", None, "t"])
+    for n in (2, 3)] + [
+    GeneratorSpec(IntPower(2), 1, [(1, 0), (1, 1), (2, 1), (0, -1)], truncation=n,
+                  names=[None, "t", "u", None])
+    for n in (2, 3)]
+
+
+def atoms(spec):
+    """(text, element) of one plain atom, the element built without the parser."""
+    def rational(a, b, slash):
+        text = "%d/%d" % (a, b) if slash or b > 1 else "%d" % a
+        return text, GradedElement.scalar(spec, Fraction(a, b))
+
+    def generator(pos, named):
+        g = spec.generators[pos]
+        text = render_generator(spec, pos) if named else "th[%s,%d]" % (
+            spec.grading.format_element(g.degree), g.index)
+        return text, GradedElement.gen(spec, pos)
+
+    return st.one_of(
+        st.builds(rational, st.integers(0, 4), st.integers(1, 3), st.booleans()),
+        st.integers(1, spec.nvars).map(lambda mu: ("x%d" % mu, GradedElement.variable(spec, mu))),
+        st.builds(generator, st.integers(0, spec.ngens - 1), st.booleans()))
+
+
+@st.composite
+def atom_runs(draw):
+    """A spec, a run of atom factors joined by '*' (one of them perhaps a
+    parenthesised sum), and the factors as elements."""
+    spec = draw(st.sampled_from(ATOM_SPECS))
+    n = draw(st.integers(1, 6))
+    paren_at = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    texts, factors = [], []
+    for i in range(n):
+        text, value = draw(atoms(spec))
+        if i == paren_at:
+            text2, value2 = draw(atoms(spec))
+            text, value = "(%s - %s)" % (text, text2), value - value2
+        e = draw(st.one_of(st.none(), st.integers(0, spec.truncation + 2)))
+        if e is not None:
+            text, value = "%s^%d" % (text, e), value ** e
+        texts.append(text)
+        factors.append(value)
+    return spec, "*".join(texts), factors
+
+
+@settings(max_examples=600, deadline=None)
+@given(atom_runs())
+def test_atom_runs_equal_the_left_to_right_product(run):
+    spec, text, factors = run
+    expected = reduce(mul, factors)
+    got = parse_element(text, spec)
+    assert got == expected
+    assert got.truncated == expected.truncated
+
+
+# spec index into ATOM_SPECS, text => rendering, truncated flag
+ATOM_RUN_CASES = [
+    (0, "0*t^3", "0", True),            # an even power past the order, times zero
+    (0, "t*t*t*0", "0", True),          # the word overflows before the zero
+    (0, "t*u*u", "0", False),           # the odd square kills it before the overflow
+    (0, "t*u*th[1,2]", "0", True),
+    (0, "u^2*t^5", "0", True),
+    (0, "x1^0", "1", False),
+    (0, "t^0*u^0*0^0", "1", False),
+    (0, "th[1,2]*u*x2^2*1/2", "-1/2*x2^2*u*th[1,2]", False),
+    (3, "u*t", "-t*u", False),          # t is even but anticommutes with u
+    (3, "u*t^2", "t^2*u", False),
+]
+
+
+@pytest.mark.parametrize("spec_index, text, rendering, truncated", ATOM_RUN_CASES)
+def test_atom_run_flags(spec_index, text, rendering, truncated):
+    element = parse_element(text, ATOM_SPECS[spec_index])
+    assert render_element(element) == rendering
+    assert element.truncated == truncated

@@ -8,9 +8,11 @@ import pytest
 from monograde import (AlgebraError, BasePoly, GeneratorSpec, GradedElement,
                        IntPower, NatPower, NotInvertible, Z2Power, parse_element,
                        render_element)
+from monograde.galgebra import Generator, TermSum
 from monograde.sampling import random_element, random_homogeneous, random_poly
 
-from helpers import inversion_sign, mul_oracle, nat1_spec, occurrences
+from helpers import (from_raw_terms, inversion_sign, mul_oracle, nat1_spec,
+                     occurrences)
 
 
 def E(text, spec):
@@ -21,14 +23,14 @@ def E(text, spec):
 
 def test_normalize_single_swap():
     spec = nat1_spec()
-    swapped = GradedElement.from_raw_terms(spec, [(1, [1, 0])])
+    swapped = from_raw_terms(spec, [(1, [1, 0])])
     assert swapped == -E("th[1,1]*th[1,2]", spec)
     assert render_element(swapped) == "-th[1,1]*th[1,2]"
 
 
 def test_normalize_odd_square_dies():
     spec = nat1_spec()
-    assert GradedElement.from_raw_terms(spec, [(1, [0, 0])]).is_zero()
+    assert from_raw_terms(spec, [(1, [0, 0])]).is_zero()
 
 
 def test_normalize_even_slides_through_odd():
@@ -37,7 +39,7 @@ def test_normalize_even_slides_through_odd():
     spec = GeneratorSpec(NatPower(1), 0, [1, 2], names=["theta", "t"])
     t_pos = spec.position_of(2, 1)
     th_pos = spec.position_of(1, 1)
-    raw = GradedElement.from_raw_terms(spec, [(1, [t_pos, th_pos, t_pos])])
+    raw = from_raw_terms(spec, [(1, [t_pos, th_pos, t_pos])])
     assert raw == E("theta*t^2", spec)
     # cross-check the sign against the inversion-count oracle
     assert inversion_sign(spec, [t_pos, th_pos, t_pos]) == 0
@@ -48,12 +50,12 @@ def test_normalize_agrees_with_inversion_oracle():
     rng = Random(7)
     for _ in range(300):
         word = [rng.randrange(spec.ngens) for _ in range(rng.randint(0, 5))]
-        got = GradedElement.from_raw_terms(spec, [(1, word)])
+        got = from_raw_terms(spec, [(1, word)])
         bit = inversion_sign(spec, word)
         if bit is None:
             assert got.is_zero()
         else:
-            expected = GradedElement.from_raw_terms(spec, [(1, sorted(word))])
+            expected = from_raw_terms(spec, [(1, sorted(word))])
             assert got == (-expected if bit else expected)
 
 
@@ -65,13 +67,12 @@ def test_normalize_idempotent_and_permutation_invariant():
         for _ in range(rng.randint(1, 4)):
             word = [rng.randrange(spec.ngens) for _ in range(rng.randint(0, 4))]
             raw.append((random_poly(rng, 2), word))
-        a = GradedElement.from_raw_terms(spec, raw)
+        a = from_raw_terms(spec, raw)
         rng.shuffle(raw)
-        b = GradedElement.from_raw_terms(spec, raw)
+        b = from_raw_terms(spec, raw)
         assert a == b
         # renormalizing the normal form is the identity
-        again = GradedElement.from_raw_terms(
-            spec, [(p, occurrences(beta)) for beta, p in a.terms.items()])
+        again = from_raw_terms(spec, [(p, occurrences(beta)) for beta, p in a.terms.items()])
         assert again == a
 
 
@@ -94,6 +95,43 @@ def test_nilpotent_word_collapse():
     spec = nat1_spec()
     f = E("x1 + th[1,1]*th[1,2]", spec)
     assert f * E("th[1,1]", spec) == E("x1*th[1,1]", spec)
+
+
+def test_power_equals_repeated_product():
+    spec = nat1_spec(nvars=2, degrees=(1, 1, 2), truncation=4)
+    rng = Random(12)
+    for _ in range(10):
+        p = random_element(rng, spec)
+        repeated = GradedElement.one(spec)
+        for k in range(10):
+            assert p ** k == repeated
+            repeated = repeated * p
+
+
+def test_power_squares_only_while_bits_are_left(monkeypatch):
+    spec = nat1_spec(nvars=2, degrees=(1, 1, 2))
+    p = E("x1 + th[2,1] + 1", spec)
+    calls = []
+    product = TermSum.add_product
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        product(self, x, y)
+
+    monkeypatch.setattr(TermSum, "add_product", counted)
+    for k in range(1, 10):
+        calls.clear()
+        p ** k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2
+
+
+def test_generator_is_a_plain_value():
+    g = Generator(1, 2, "t")
+    assert g == Generator(1, 2, "t") and hash(g) == hash(Generator(1, 2, "t"))
+    assert g != Generator(1, 2) and g != (1, 2, "t")
+    assert repr(g) == "Generator(degree=1, index=2, name='t')"
+    with pytest.raises(AttributeError):
+        g.index = 3
 
 
 def test_products_match_raw_word_oracle():

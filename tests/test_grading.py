@@ -252,3 +252,12 @@ def test_parity_search_on_enumerated_tables():
         assert parities
         for p in parities:
             assert sum(p) * 2 == len(p)
+
+
+def test_k_group_element_is_a_plain_value():
+    a = KGroupElement(1, 2)
+    assert a == KGroupElement(1, 2) and hash(a) == hash(KGroupElement(1, 2))
+    assert a != KGroupElement(2, 1) and a != (1, 2)
+    assert repr(a) == "KGroupElement(pos=1, neg=2)"
+    with pytest.raises(AttributeError):
+        a.pos = 3

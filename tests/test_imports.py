@@ -1,6 +1,10 @@
-"""Layout rules for the package source, checked on its syntax tree."""
+"""Layout rules for the package source: its syntax tree, and what importing
+it loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,12 @@ def test_no_imports_inside_functions(path):
 def test_reports_render_through_reporting():
     for name in ("morphism.py", "calculus.py"):
         assert "render_element" not in (PACKAGE / name).read_text(encoding="utf-8")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost milliseconds of start-up in every command process
+    probe = "import sys, monograde.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent commit against the working tree.
+
+    python3 tools/bench_pairs.py --parent REV --export DIR --label NAME \\
+        --seeds 70 71 ...
+
+Exports REV with `git archive` into DIR (which must not exist yet), then,
+for every seed and every workload of BENCHMARK.json, runs the unchanged
+`perfbench/run.py --trace 0` for the benchmark's `run_seconds` once in the
+export and once in the working tree, the parent first at even
+seed positions and the change first at odd ones.  After the pairs it runs
+`--trace 1` at seed 0 once per side and workload for the per-layer metrics.
+
+It writes BENCH_<label>.json at the root of the working tree: the machine,
+the Python version, both shas (the working tree's HEAD with a dirty flag)
+and a digest of each side's src/, every run's result and which side ran
+first, each side's failed and attempted commands per workload, and per
+workload and end-to-end metric each side's median and quartiles, the
+change's wins, and the two rules a claim is judged by: a gain needs wins
+in nine tenths of the pairs and a median difference larger than the
+parent's quartile spread; no regression needs the change's median within
+the metric's bound from BENCHMARK.json.  A metric whose parent spread
+exceeds its bound is marked unresolved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_SEED = 0
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def src_digest(tree: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def machine() -> dict:
+    model = None
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {"platform": platform.platform(), "machine": platform.machine(),
+            "cpu_model": model, "cpu_count": os.cpu_count()}
+
+
+def run(tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
+    """The JSON result line of one perfbench run in `tree`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines or not lines[-1].startswith("{"):
+        raise SystemExit("perfbench/run.py failed in %s:\n%s" % (tree, proc.stderr[-2000:]))
+    return json.loads(lines[-1])
+
+
+def quartiles(values) -> list:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(pairs, metrics) -> dict:
+    """Per end-to-end metric: medians, quartiles, wins and the two rules."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        sides = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in
+                 ("parent", "change")}
+        parent, change = (statistics.median(sides[s]) for s in ("parent", "change"))
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        q1, _, q3 = quartiles(sides["parent"])
+        worse_by = (change - parent) / parent if lower else (parent - change) / parent
+        out[name] = {
+            "parent_median": parent, "parent_quartiles": [q1, q3],
+            "change_median": change, "change_quartiles": quartiles(sides["change"])[::2],
+            "change_over_parent": change / parent,
+            "change_wins": wins, "pairs": len(pairs),
+            "gain_rule_met": wins * 10 >= 9 * len(pairs) and abs(change - parent) > q3 - q1,
+            "bound": m["bound"],
+            "within_bound": worse_by <= m["bound"],
+            "unresolved": (q3 - q1) / parent > m["bound"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--export", required=True, type=Path,
+                        help="new directory to export the parent into")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    args = parser.parse_args(argv)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+
+    export(args.parent, args.export)
+    trees = {"parent": args.export.resolve(), "change": ROOT}
+    report = {
+        "label": args.label,
+        "machine": machine(),
+        "python": platform.python_version(),
+        "parent": {"sha": git("rev-parse", args.parent), "src_digest": src_digest(trees["parent"])},
+        "change": {"sha": git("rev-parse", "HEAD"),
+                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+                   "src_digest": src_digest(ROOT)},
+        "command": "perfbench/run.py --trace 0 --seconds %s" % seconds,
+        "seeds": args.seeds,
+        "pairs": {w: [] for w in workloads},
+    }
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(trees[side], workload, seed, seconds, 0)
+            report["pairs"][workload].append(pair)
+            print("%s seed %d (%s first): %s" % (workload, seed, order[0], " ".join(
+                "%s %.4f/%.4f" % (m["name"], pair["parent"]["metrics"][m["name"]]["value"],
+                                  pair["change"]["metrics"][m["name"]]["value"])
+                for m in bench["end_to_end"])), flush=True)
+    report["summary"] = {w: summarize(pairs, bench["end_to_end"])
+                         for w, pairs in report["pairs"].items()}
+    report["failed_of_attempted"] = {w: {side: [sum(p[side][k] for p in pairs)
+                                                for k in ("failed", "attempted")]
+                                         for side in trees}
+                                     for w, pairs in report["pairs"].items()}
+    report["trace"] = {"seed": TRACE_SEED, "runs": {
+        w: {side: run(trees[side], w, TRACE_SEED, seconds, 1) for side in trees}
+        for w in workloads}}
+    out = ROOT / ("BENCH_%s.json" % args.label)
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print("wrote %s" % out.name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -122,18 +122,7 @@ class BasePoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a natural number")
-        # square only while a higher exponent bit is left to use
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return BasePoly.const(self.nvars, 1) if result is None else result
-            base = base * base
+        return power(self, k, BasePoly.const(self.nvars, 1))
 
     def __eq__(self, other):
         return (isinstance(other, BasePoly) and self.nvars == other.nvars
@@ -237,6 +226,21 @@ class BasePoly:
         shifted = [BasePoly.var(self.nvars, mu + 1) + BasePoly.const(self.nvars, c)
                    for mu, c in enumerate(center)]
         return self.compose(shifted)
+
+
+def power(x, k: int, one):
+    """x**k by square-and-multiply, `one` for k = 0.  It squares only while
+    a higher bit of k is left: bit_length + popcount - 2 products."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a natural number")
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return one if result is None else result
+        x = x * x
 
 
 # -- term-dict kernels ---------------------------------------------------------

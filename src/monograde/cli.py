@@ -179,16 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monograde",
         description="exact computations in monoid-graded commutative algebras")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--session", required=True, help="session JSON file")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--samples", type=int, default=None)
+    common.add_argument("--truncation", type=int, default=None)
+    common.add_argument("--out", default=None, help="write the report here")
+    common.add_argument("--domain", default=None, help="domain for inline expressions")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("--session", required=True, help="session JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--domain", default=None,
-                       help="domain for inline expressions")
+        p = sub.add_parser(name, help=cmd.help, parents=[common])
         for arg, _ in cmd.positionals:
             p.add_argument(arg, metavar=arg.replace("_", "-"))
         if cmd.option:

@@ -4,9 +4,11 @@ Elements are finite sums  coefficient * generator-word  with `BasePoly`
 coefficients, kept in a normal form: generator words sorted into canonical
 order with the commutation sign picked up per transposition, squares of
 odd generators annihilated, and words longer than the truncation order
-dropped (with an audit flag recording that a drop happened).  The terms of
-an element are stored in no particular order; the canonical term order
-(short words first) is applied only when an element is rendered.
+dropped (with an audit flag recording that a drop happened).  Arithmetic,
+`Morphism.pullback` and `Derivation.apply` keep the flags of their
+arguments.  The terms of an element are stored in no particular order; the
+canonical term order (short words first) is applied only when an element
+is rendered.
 
 Outside input goes through the validating `GradedElement` constructor.
 Results of internal arithmetic are assembled by `TermSum`, which adds and
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .basecoeff import BasePoly, add_product, add_terms, strip_zeros
+from .basecoeff import BasePoly, add_product, add_terms, power, strip_zeros
 from .grading import GradingSpec
 
 
@@ -73,6 +75,9 @@ class GeneratorSpec:
 
     Generators are stored in canonical order (by degree under the grading's
     total order, then by index), which fixes the normal form of every word.
+    The index of a generator counts the generators of its degree in
+    declaration order, from 1; `declared[k]` is the canonical position of
+    the k-th declared generator.
     """
 
     def __init__(self, grading: GradingSpec, nvars: int, degrees,
@@ -108,15 +113,16 @@ class GeneratorSpec:
                                    % grading.format_element(d))
             counter[d] = counter.get(d, 0) + 1
             gens.append(Generator(d, counter[d], nm))
-        gens.sort(key=lambda g: (grading.sort_key(g.degree), g.index))
-        self.generators = tuple(gens)
-        self.parities = tuple(grading.parity(g.degree) for g in gens)
+        self.generators = canon = tuple(
+            sorted(gens, key=lambda g: (grading.sort_key(g.degree), g.index)))
+        self.parities = tuple(grading.parity(g.degree) for g in canon)
         self.swap_bits = tuple(
-            tuple(grading.parity(grading.mul(g.degree, h.degree)) for h in gens)
-            for g in gens)
-        self._by_label = {(g.degree, g.index): pos for pos, g in enumerate(gens)}
-        self._by_name = {g.name: pos for pos, g in enumerate(gens) if g.name}
-        if len(self._by_name) != sum(1 for g in gens if g.name):
+            tuple(grading.parity(grading.mul(g.degree, h.degree)) for h in canon)
+            for g in canon)
+        self._by_label = {(g.degree, g.index): pos for pos, g in enumerate(canon)}
+        self.declared = tuple(self._by_label[(g.degree, g.index)] for g in gens)
+        self._by_name = {g.name: pos for pos, g in enumerate(canon) if g.name}
+        if len(self._by_name) != sum(1 for g in canon if g.name):
             raise AlgebraError("generator names must be unique")
         self._word_cache: dict = {}
 
@@ -338,18 +344,7 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a natural number")
-        # square only while a higher exponent bit is left to use
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return GradedElement.one(self.spec) if result is None else result
-            base = base * base
+        return power(self, k, GradedElement.one(self.spec))
 
     def times_variable(self, mu: int, e: int) -> "GradedElement":
         """self * x_mu**e in one pass over the terms."""
@@ -512,15 +507,17 @@ class TermSum:
     Fraction) and zero coefficients are stripped once, in `element`.  The
     truncation flag of the sum is set when any added element carries it
     or a product drops a word longer than the truncation order, exactly
-    as adding the terms one at a time would set it.
+    as adding the terms one at a time would set it.  `Morphism.pullback`
+    and `Derivation.apply` start the sum with their argument's flag, since
+    a word the argument lost may have contributed to the result.
     """
 
     __slots__ = ("spec", "acc", "truncated")
 
-    def __init__(self, spec: GeneratorSpec):
+    def __init__(self, spec: GeneratorSpec, truncated: bool = False):
         self.spec = spec
         self.acc: dict = {}
-        self.truncated = False
+        self.truncated = truncated
 
     def add(self, x: GradedElement, coeff: BasePoly | None = None) -> None:
         """Add coeff * x, with coeff a base polynomial (1 when omitted)."""

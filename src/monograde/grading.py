@@ -91,10 +91,10 @@ class _PowerSpec(GradingSpec):
     """Shared machinery for component-wise kinds; elements are ints when the
     number of components is 1, otherwise tuples of ints."""
 
-    def __init__(self, ncomp: int):
-        if ncomp < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise GradingError("need at least one component")
-        self.ncomp = ncomp
+        self.ncomp = k
 
     def _tup(self, i):
         return (i,) if self.ncomp == 1 else i
@@ -131,35 +131,28 @@ class _PowerSpec(GradingSpec):
     def is_cancellative(self) -> bool:
         return True
 
+    def _key(self):
+        return (self.kind, self.ncomp)
+
 
 class NatPower(_PowerSpec):
     """Tuples of natural numbers under componentwise addition."""
 
-    def __init__(self, k: int):
-        super().__init__(k)
-        self.kind = "nat_power"
+    kind = "nat_power"
 
     def check_element(self, i):
         return self._check_components(i, lambda c: c >= 0,
                                       "a %d-tuple of naturals" % self.ncomp)
 
-    def _key(self):
-        return ("nat_power", self.ncomp)
-
 
 class IntPower(_PowerSpec):
     """Tuples of integers under componentwise addition."""
 
-    def __init__(self, k: int):
-        super().__init__(k)
-        self.kind = "int_power"
+    kind = "int_power"
 
     def check_element(self, i):
         return self._check_components(i, lambda c: True,
                                       "a %d-tuple of integers" % self.ncomp)
-
-    def _key(self):
-        return ("int_power", self.ncomp)
 
 
 class CyclicProduct(_PowerSpec):
@@ -171,16 +164,17 @@ class CyclicProduct(_PowerSpec):
     is validated exhaustively at construction.
     """
 
+    kind = "cyclic_product"
+    is_finite = True
+
     def __init__(self, orders):
         orders = tuple(orders)
         if not orders or any(not isinstance(q, int) or q < 1 for q in orders):
             raise GradingError("orders must be positive integers")
         super().__init__(len(orders))
-        self.kind = "cyclic_product"
         self.orders = orders
         even = [a for a, q in enumerate(orders) if q % 2 == 0]
         self._parity_axis = even[0] if even else None
-        self.is_finite = True
         _validate_parity_hom(self)
 
     def add(self, i, j):
@@ -208,21 +202,20 @@ class CyclicProduct(_PowerSpec):
             yield self._out(t)
 
     def _key(self):
-        return ("cyclic_product", self.orders)
+        return (self.kind, self.orders)
 
 
 class Z2Power(CyclicProduct):
     """(Z_2)^n with the total mod-2 weight as parity."""
 
+    kind = "z2_power"
+    _key = _PowerSpec._key
+
     def __init__(self, n: int):
         super().__init__((2,) * n)
-        self.kind = "z2_power"
 
     def parity(self, i) -> int:
         return sum(self._tup(i)) % 2
-
-    def _key(self):
-        return ("z2_power", self.ncomp)
 
 
 class FiniteTable(GradingSpec):
@@ -233,6 +226,7 @@ class FiniteTable(GradingSpec):
     at construction (homomorphism law; commutativity and distributivity).
     """
 
+    kind = "finite_table"
     is_finite = True
 
     def __init__(self, table, parity, mul_table=None, names=None):
@@ -263,7 +257,6 @@ class FiniteTable(GradingSpec):
             raise GradingError("parity must be a bit per element") from exc
         if len(parity) != n or any(b not in (0, 1) for b in parity):
             raise GradingError("parity must be a bit per element")
-        self.kind = "finite_table"
         self.size = n
         self.table = table
         self.parity_bits = parity
@@ -332,7 +325,7 @@ class FiniteTable(GradingSpec):
         return self.names[i]
 
     def _key(self):
-        return ("finite_table", self.table, self.parity_bits, self.mul_table)
+        return (self.kind, self.table, self.parity_bits, self.mul_table)
 
 
 def _validate_parity_hom(spec: GradingSpec, size_cap: int = 4096):

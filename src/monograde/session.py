@@ -174,9 +174,9 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise SessionError("options must be an object")
-    s.truncation = _int(opts.get("truncation", 6), "truncation option")
-    s.seed = _int(opts.get("seed", 0), "seed option")
-    s.samples = _int(opts.get("samples", 200), "samples option")
+    s.truncation = _int(opts.get("truncation", s.truncation), "truncation option")
+    s.seed = _int(opts.get("seed", s.seed), "seed option")
+    s.samples = _int(opts.get("samples", s.samples), "samples option")
     if truncation is not None:
         s.truncation = truncation
     if seed is not None:
@@ -188,9 +188,6 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
     s.grading = _grading(data.get("grading"))
 
     seen: set = set()
-    # per domain, the canonical position of each generator in declaration
-    # order, so that value lists in the file may follow the declaration
-    declared: dict = {}
 
     def entries(section):
         """Each (name, entry) of a section, the name new to the session's
@@ -209,7 +206,7 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
             yield name, entry
 
     def canonical(values, domain_name, what):
-        positions = declared[domain_name]
+        positions = s.domains[domain_name].genspec.declared
         if len(values) != len(positions):
             raise SessionError("%s needs %d generator entries, got %d"
                                % (what, len(positions), len(values)))
@@ -241,11 +238,6 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
             s.domains[name] = DomainSpec(spec, _box(dom.get("box"), nvars))
         except (KeyError, TypeError, GradingError, AlgebraError, MorphismError) as exc:
             raise SessionError("domain %r: %s" % (name, exc)) from exc
-        counter: dict = {}
-        declared[name] = []
-        for d in degrees:
-            counter[d] = counter.get(d, 0) + 1
-            declared[name].append(spec.position_of(d, counter[d]))
 
     for name, entry in entries("elements"):
         what = "element %r" % name

@@ -227,7 +227,7 @@ def test_unreadable_generator_name_is_input_error(tmp_path, capsys):
     assert err.startswith("error: domain 'U': generator name '2'")
 
 
-def test_input_errors(capsys):
+def test_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, "normalize", "x1 +", "--session",
                        str(SESSIONS / "geometric.json"))
     assert code == 2
@@ -240,6 +240,17 @@ def test_input_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "check-monoid", "--session", "/no/such/file.json")
     assert code == 2
+    unnamed = base_session()
+    unnamed["elements"] = {"": {"domain": "U", "expr": "s"}}
+    for data, message in (([base_session()], "session must be a JSON object"),
+                          (unnamed, "names must be nonempty strings")):
+        code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+    two_charts = ("normalize", "thU", "--session", str(SESSIONS / "two_charts.json"))
+    for extra, message in (((), "no unique domain; name one explicitly"),
+                           (("--domain", "Nope"), "unknown domain 'Nope'")):
+        code, out, err = run(capsys, *two_charts, *extra)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_out_file(tmp_path, capsys):

@@ -148,7 +148,7 @@ def pullback_by_terms(m, f):
             if e:
                 term = term * m.gen_images[pos] ** e
         terms.append(term)
-    return sum_by_terms(src, terms)
+    return sum_by_terms(src, terms, f.truncated)
 
 
 def endomorphism(rng, spec):
@@ -235,7 +235,7 @@ def apply_by_terms(D, f):
         wd = leibniz(occ)
         if not wd.is_zero():
             terms.append(GradedElement.scalar(spec, poly) * wd)
-    return sum_by_terms(spec, terms)
+    return sum_by_terms(spec, terms, f.truncated)
 
 
 @SETTINGS

@@ -8,8 +8,13 @@ Exports REV with `git archive` into DIR (which must not exist yet), then,
 for every seed and every workload of BENCHMARK.json, runs the unchanged
 `perfbench/run.py --trace 0` for the benchmark's `run_seconds` once in the
 export and once in the working tree, the parent first at even
-seed positions and the change first at odd ones.  After the pairs it runs
-`--trace 1` at seed 0 once per side and workload for the per-layer metrics.
+seed positions and the change first at odd ones.  After the pairs it times
+in-process passes: per workload, INPROCESS_ROUNDS rounds, the sides
+alternating which goes first, each a fresh interpreter per side that builds
+the seed-0 workload, runs one untimed pass of its commands through
+`monograde.cli.main` and times the next (perfbench's own `in_process_pass`,
+gate included).  Then it runs `--trace 1` at seed 0 once per side and
+workload for the per-layer metrics.
 
 It writes BENCH_<label>.json at the root of the working tree: the machine,
 the Python version, both shas (the working tree's HEAD with a dirty flag)
@@ -20,7 +25,8 @@ change's wins, and the two rules a claim is judged by: a gain needs wins
 in nine tenths of the pairs and a median difference larger than the
 parent's quartile spread; no regression needs the change's median within
 the metric's bound from BENCHMARK.json.  A metric whose parent spread
-exceeds its bound is marked unresolved.
+exceeds its bound is marked unresolved.  Each side's in-process pass times
+are recorded with their median.
 """
 
 from __future__ import annotations
@@ -39,6 +45,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 0
+INPROCESS_ROUNDS = 5
+
+# One timed in-process pass of a workload at TRACE_SEED, after an untimed
+# one, through perfbench/run.py's own pass and gate; run in a source tree.
+INPROCESS = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import run
+import monograde.cli as cli
+name, seed = sys.argv[1], int(sys.argv[2])
+wl = run.workloads.build(name, seed, Path(".bench_out") / ("inprocess-%s-%d" % (name, seed)))
+expected = json.loads(run.expected_path(name).read_text(encoding="utf-8"))["outputs"]
+gate = run.Gate(expected, seed)
+run.in_process_pass(wl, gate, cli)
+seconds = run.in_process_pass(wl, gate, cli)
+print(json.dumps({"seconds": seconds, "failed": gate.failed, "attempted": gate.attempted}))
+"""
 
 
 def git(*args) -> str:
@@ -84,6 +108,31 @@ def run(tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
     if proc.returncode or not lines or not lines[-1].startswith("{"):
         raise SystemExit("perfbench/run.py failed in %s:\n%s" % (tree, proc.stderr[-2000:]))
     return json.loads(lines[-1])
+
+
+def in_process(trees: dict, workload: str) -> dict:
+    """Per side, the timed in-process passes of INPROCESS_ROUNDS rounds,
+    their median and the commands that failed the gate; and which side went
+    first in each round."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = {side: {"passes_s": [], "failed": 0, "attempted": 0} for side in trees}
+    out["first"] = []
+    for i in range(INPROCESS_ROUNDS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        out["first"].append(order[0])
+        for side in order:
+            proc = subprocess.run([sys.executable, "-c", INPROCESS, workload, str(TRACE_SEED)],
+                                  cwd=trees[side], env=env, capture_output=True, text=True)
+            if proc.returncode:
+                raise SystemExit("in-process pass failed in %s:\n%s"
+                                 % (trees[side], proc.stderr[-2000:]))
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            out[side]["passes_s"].append(result["seconds"])
+            out[side]["failed"] += result["failed"]
+            out[side]["attempted"] += result["attempted"]
+    for side in trees:
+        out[side]["median_s"] = statistics.median(out[side]["passes_s"])
+    return out
 
 
 def quartiles(values) -> list:
@@ -160,6 +209,11 @@ def main(argv=None) -> int:
                                                 for k in ("failed", "attempted")]
                                          for side in trees}
                                      for w, pairs in report["pairs"].items()}
+    report["in_process"] = {"seed": TRACE_SEED, "workloads": {}}
+    for w in workloads:
+        report["in_process"]["workloads"][w] = result = in_process(trees, w)
+        print("%s in-process pass median parent %.4f s, change %.4f s" % (
+            w, result["parent"]["median_s"], result["change"]["median_s"]), flush=True)
     report["trace"] = {"seed": TRACE_SEED, "runs": {
         w: {side: run(trees[side], w, TRACE_SEED, seconds, 1) for side in trees}
         for w in workloads}}

@@ -9,6 +9,7 @@ graded layer can be asserted with `==` instead of tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 
@@ -180,14 +181,8 @@ class BasePoly:
         if len(point) != self.nvars:
             raise ValueError("point has %d coordinates, expected %d"
                              % (len(point), self.nvars))
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for c, e in zip(point, exps):
-                if e:
-                    v *= c ** e
-            total += v
-        return total
+        v = integer_point([(c.numerator, c.denominator) for c in point])
+        return Fraction(*integer_value(integer_form(self), v))
 
     def compose(self, replacements) -> "BasePoly":
         """Substitute a polynomial for every variable.
@@ -241,6 +236,42 @@ def power(x, k: int, one):
         if not k:
             return one if result is None else result
         x = x * x
+
+
+# -- exact evaluation in integers -------------------------------------------------
+#
+# A polynomial of top degree d over a common denominator c is homogenized by
+# one extra variable; a rational point becomes integers over a common
+# denominator D, which fills that slot; the value is an integer over c * D**d.
+
+def integer_form(poly: BasePoly) -> tuple:
+    """(c, d, terms) of poly, with terms listing (integer numerator,
+    ((index, exponent), ...)) over the homogenized variables."""
+    den = lcm(*[c.denominator for c in poly.terms.values()])
+    degree = max(map(sum, poly.terms), default=0)
+    return den, degree, [
+        (c.numerator * (den // c.denominator),
+         tuple((i, e) for i, e in enumerate(exps + (degree - sum(exps),)) if e))
+        for exps, c in poly.terms.items()]
+
+
+def integer_point(pairs) -> tuple:
+    """The point of coordinates n/d, given as (n, d) pairs with d > 0, as
+    integers n*D/d followed by D, the least common multiple of the d."""
+    den = lcm(*[d for _, d in pairs])
+    return (*[n * (den // d) for n, d in pairs], den)
+
+
+def integer_value(form: tuple, point: tuple) -> tuple:
+    """(numerator, positive denominator) of the value of a polynomial in
+    `integer_form` at a point in `integer_point` form."""
+    den, degree, terms = form
+    total = 0
+    for num, factors in terms:
+        for i, e in factors:
+            num *= point[i] ** e
+        total += num
+    return total, den * point[-1] ** degree
 
 
 # -- term-dict kernels ---------------------------------------------------------

@@ -81,13 +81,15 @@ class Derivation:
             raise CalculusError("%s does not live over the domain" % what)
         if v.is_zero():
             return
-        if not v.is_homogeneous():
+        degrees = v.degrees()
+        if len(degrees) > 1:
             raise CalculusError("%s is not homogeneous" % what)
+        (v_degree,) = degrees
         want = k_add(grading, degree, coord_deg)
-        if not k_eq(grading, k_embed(grading, v.degree()), want):
+        if not k_eq(grading, k_embed(grading, v_degree), want):
             raise CalculusError("%s has degree %s, expected derivation degree "
                                 "plus coordinate degree" %
-                                (what, grading.format_element(v.degree())))
+                                (what, grading.format_element(v_degree)))
 
     @classmethod
     def zero(cls, domain: DomainSpec, degree=None) -> "Derivation":

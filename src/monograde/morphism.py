@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .basecoeff import BasePoly
+from .basecoeff import BasePoly, integer_form, integer_point, integer_value
 from .galgebra import AlgebraError, GeneratorSpec, GradedElement, TermSum
 from .reporting import CheckReport
 from .sampling import (grid_points, random_element, random_homogeneous,
@@ -46,15 +46,6 @@ def _check_box(box, nvars: int):
         if lo is not None and hi is not None and lo > hi:
             raise MorphismError("empty interval [%s, %s]" % (lo, hi))
     return box
-
-
-def box_contains(box, point) -> bool:
-    for (lo, hi), c in zip(box, point):
-        if lo is not None and c < lo:
-            return False
-        if hi is not None and c > hi:
-            return False
-    return True
 
 
 def intersect_boxes(a, b):
@@ -90,11 +81,14 @@ class DomainSpec:
     def n(self) -> int:
         return self.genspec.nvars
 
-    def sample_points(self, count: int, seed: int = 0):
-        pts = grid_points(self.box)
+    def sample_points(self, count: int, seed: int = 0) -> list:
+        """The range check's points: the 3-per-axis grid, then `count`
+        points drawn from Random(seed).  The rational points and their
+        order depend on (box, count, seed) alone; each comes in exact
+        `integer_point` form."""
         rng = Random(seed)
-        pts += [random_point_in(rng, self.box) for _ in range(count)]
-        return pts
+        return [integer_point(p) for p in grid_points(self.box)] + [
+            integer_point(random_point_in(rng, self.box)) for _ in range(count)]
 
     def __eq__(self, other):
         return (isinstance(other, DomainSpec) and self.genspec == other.genspec
@@ -279,12 +273,20 @@ def compose(first: Morphism, second: Morphism,
 
 def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
     """Sampled range condition: the underlying map of m sends every sample
-    point of its source into box; message formats the first failure."""
-    bodies = m.underlying_map()
+    point of its source (`DomainSpec.sample_points`) into box; message
+    formats the first failure.  Evaluation is exact in integers: each body's
+    value is one integer over a positive denominator, compared with each
+    bound by cross-multiplication, and Fractions only format a failure."""
+    forms = [integer_form(b) for b in m.underlying_map()]
+    bounds = [tuple(None if b is None else (b.numerator, b.denominator) for b in pair)
+              for pair in box]
     for p in m.source.sample_points(samples, seed):
-        q = [b.eval(p) for b in bodies]
-        if not box_contains(box, q):
-            raise RangeViolation(message % ([str(c) for c in p], [str(c) for c in q]))
+        q = [integer_value(f, p) for f in forms]
+        for (num, den), (lo, hi) in zip(q, bounds):
+            if ((lo is not None and num * lo[1] < lo[0] * den)
+                    or (hi is not None and num * hi[1] > hi[0] * den)):
+                raise RangeViolation(message % ([str(Fraction(n, p[-1])) for n in p[:-1]],
+                                                [str(Fraction(*v)) for v in q]))
 
 
 def check_homomorphism(m: Morphism, samples: int = 100, seed: int = 0) -> CheckReport:

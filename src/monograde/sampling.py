@@ -61,38 +61,41 @@ def random_homogeneous(rng: Random, spec: GeneratorSpec, max_terms: int = 2,
 
 
 def random_point_in(rng: Random, box, density: int = 8):
-    """A rational point inside an axis-aligned box; None bounds are open."""
+    """A rational point inside an axis-aligned box of Fraction bounds, None
+    bounds open, as one (numerator, positive denominator) pair per axis."""
     point = []
     for lo, hi in box:
         if lo is None and hi is None:
-            point.append(Fraction(rng.randint(-density, density), rng.randint(1, 3)))
-        elif lo is None:
-            point.append(Fraction(hi) - Fraction(rng.randint(0, 3 * density), density))
-        elif hi is None:
-            point.append(Fraction(lo) + Fraction(rng.randint(0, 3 * density), density))
+            point.append((rng.randint(-density, density), rng.randint(1, 3)))
+        elif lo is None or hi is None:
+            # k / density below hi or above lo
+            b, k = (hi, -1) if lo is None else (lo, 1)
+            k *= rng.randint(0, 3 * density)
+            point.append((b.numerator * density + k * b.denominator, b.denominator * density))
         else:
-            t = Fraction(rng.randint(0, density), density)
-            point.append(Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t)
+            # lo + (hi - lo) * t / density
+            t = rng.randint(0, density)
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            point.append((ln * hd * density + (hn * ld - ln * hd) * t, ld * hd * density))
     return point
 
 
-def grid_points(box, per_axis: int = 3):
-    """A small deterministic rational grid inside a box."""
+def grid_points(box):
+    """A deterministic grid inside a box of Fraction bounds, as pairs like
+    `random_point_in`'s: lo, midpoint, hi on a bounded axis (lo alone if
+    degenerate), three unit steps from a single bound, -1, 0, 1 unbounded."""
     axes = []
     for lo, hi in box:
         if lo is None and hi is None:
-            axes.append([Fraction(-1), Fraction(0), Fraction(1)][:per_axis])
-        elif lo is None:
-            hi = Fraction(hi)
-            axes.append([hi - 2, hi - 1, hi][:per_axis])
-        elif hi is None:
-            lo = Fraction(lo)
-            axes.append([lo, lo + 1, lo + 2][:per_axis])
+            axes.append([(-1, 1), (0, 1), (1, 1)])
+        elif lo is None or hi is None:
+            b, steps = (hi, (-2, -1, 0)) if lo is None else (lo, (0, 1, 2))
+            axes.append([(b.numerator + k * b.denominator, b.denominator) for k in steps])
+        elif lo == hi:
+            axes.append([(lo.numerator, lo.denominator)])
         else:
-            lo, hi = Fraction(lo), Fraction(hi)
-            mid = (lo + hi) / 2
-            pts = [lo, mid, hi]
-            axes.append(sorted(set(pts))[:per_axis])
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            axes.append([(ln, ld), (ln * hd + hn * ld, 2 * ld * hd), (hn, hd)])
     points = [[]]
     for axis in axes:
         points = [p + [c] for p in points for c in axis]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 from monograde import (BasePoly, DomainSpec, Derivation, GeneratorSpec,
                        GradedElement, IntPower, NatPower)
@@ -222,3 +223,68 @@ def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement
 
     walk(0)
     return out
+
+
+# -- the sampled range condition in Fraction arithmetic ----------------------
+
+def random_point_oracle(rng, box, density=8):
+    """The range check's seeded point as Fractions, drawn as the library
+    draws it."""
+    point = []
+    for lo, hi in box:
+        if lo is None and hi is None:
+            point.append(Fraction(rng.randint(-density, density), rng.randint(1, 3)))
+        elif lo is None:
+            point.append(Fraction(hi) - Fraction(rng.randint(0, 3 * density), density))
+        elif hi is None:
+            point.append(Fraction(lo) + Fraction(rng.randint(0, 3 * density), density))
+        else:
+            t = Fraction(rng.randint(0, density), density)
+            point.append(Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t)
+    return point
+
+
+def grid_points_oracle(box, per_axis=3):
+    """The range check's grid as Fractions: lo, mid, hi per bounded axis."""
+    axes = []
+    for lo, hi in box:
+        if lo is None and hi is None:
+            axes.append([Fraction(-1), Fraction(0), Fraction(1)][:per_axis])
+        elif lo is None:
+            hi = Fraction(hi)
+            axes.append([hi - 2, hi - 1, hi][:per_axis])
+        elif hi is None:
+            lo = Fraction(lo)
+            axes.append([lo, lo + 1, lo + 2][:per_axis])
+        else:
+            lo, hi = Fraction(lo), Fraction(hi)
+            axes.append(sorted({lo, (lo + hi) / 2, hi})[:per_axis])
+    points = [[]]
+    for axis in axes:
+        points = [p + [c] for p in points for c in axis]
+    return points
+
+
+def eval_oracle(poly: BasePoly, point) -> Fraction:
+    """The value at a point, summed term by term in Fractions."""
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        v = coeff
+        for c, e in zip(point, exps):
+            v *= Fraction(c) ** e
+        total += v
+    return total
+
+
+def range_failure_oracle(bodies, source_box, box, samples, seed, message):
+    """The failure text of the sampled range condition -- the grid, then
+    `samples` points from Random(seed) -- or None when every point lands."""
+    rng = Random(seed)
+    points = grid_points_oracle(source_box)
+    points += [random_point_oracle(rng, source_box) for _ in range(samples)]
+    for p in points:
+        q = [eval_oracle(b, p) for b in bodies]
+        if any((lo is not None and c < lo) or (hi is not None and c > hi)
+               for (lo, hi), c in zip(box, q)):
+            return message % ([str(c) for c in p], [str(c) for c in q])
+    return None

@@ -1,5 +1,6 @@
 """Derivations, brackets, the QK model, descent towers."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -12,8 +13,11 @@ from monograde.calculus import CalculusError
 from monograde.grading import KGroupElement, k_mul, k_parity
 from monograde.morphism import DomainSpec
 from monograde.sampling import random_element, random_homogeneous
+from monograde.session import load_session
 
 from helpers import qk_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pair_setup(truncation=6):
@@ -62,6 +66,28 @@ def test_homogeneity_validated():
     with pytest.raises(CalculusError):
         # claims degree -1 but sends th1 to an element of degree 2
         Derivation(dom, KGroupElement(0, 1), [zero], [th1 * th2, zero])
+    with pytest.raises(CalculusError, match="^value on generator 0 is not homogeneous$"):
+        Derivation(dom, KGroupElement(0, 1), [zero], [th1 + th1 * th2, zero])
+    with pytest.raises(CalculusError, match=(
+            r"^value on x1 has degree 1, expected derivation degree plus "
+            r"coordinate degree$")):
+        Derivation(dom, KGroupElement(0, 1), [th1], [zero, zero])
+
+
+def test_value_degrees_computed_once(monkeypatch):
+    """Each nonzero coordinate value has its degrees computed once."""
+    session = load_session(ROOT / "sessions" / "qk_model.json")
+    calls = []
+    degrees = GradedElement.degrees
+    monkeypatch.setattr(GradedElement, "degrees",
+                        lambda self: calls.append(self) or degrees(self))
+    counts = []
+    for name in ("Q", "K", "d"):
+        D = session.derivations[name]
+        calls.clear()
+        Derivation(D.domain, D.degree, D.base_values, D.gen_values)
+        counts.append(len(calls))
+    assert counts == [2, 1, 2]
 
 
 def test_leibniz_randomized():

@@ -253,6 +253,49 @@ def test_input_errors(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+def range_session(seed, samples, domains, morphisms):
+    """A nat_power session over one generator per domain, named after it."""
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "options": {"truncation": 4, "seed": seed, "samples": samples},
+            "domains": {name: {"vars": len(box), "box": box,
+                               "generators": [{"degree": 1, "name": gen}]}
+                        for name, (box, gen) in domains.items()},
+            "morphisms": {name: {"source": src, "target": tgt, "base_images": base,
+                                 "generator_images": [gen]}
+                          for name, (src, tgt, base, gen) in morphisms.items()}}
+
+
+def test_range_violation_texts(tmp_path, capsys):
+    # each body vanishes on the 3-per-axis grid, so the first failure is at
+    # a seeded random point and the text pins the draws as well
+    bounded = range_session(0, 20, {"U": ([[0, 1]], "t"), "V": ([[-1, 1]], "s")},
+                            {"m": ("U", "V", ["64*x1^3 - 96*x1^2 + 32*x1"], "t")})
+    code, out, err = run_session(tmp_path, capsys, bounded, "underlying", "m")
+    assert (code, out, err) == (2, "", (
+        "error: morphism 'm': range condition fails: point ['3/4'] maps to ['-3'] "
+        "outside the target box\n"))
+    # the second source box shares its spec with the first target, not its box
+    composite = range_session(
+        3, 20, {"U": ([[0, 2], [None, 1]], "t"), "V": ([[None, None]], "s"),
+                "W": ([["-1/2", "1/2"]], "s"), "X": ([[None, None]], "s")},
+        {"m": ("U", "V", ["x1^3*x2 - 3*x1^2*x2 + 2*x1*x2"], "t"),
+         "n": ("W", "X", ["x1^3"], "s")})
+    code, out, err = run_session(tmp_path, capsys, composite, "compose", "m", "n")
+    assert (code, out, err) == (1, (
+        "FAIL cannot compose: point ['3/2', '-3/2'] leaves the second source box "
+        "at ['9/16']\n"), "")
+    # an unbounded and a half-open source axis into a half-open and a
+    # degenerate target axis
+    open_boxes = range_session(
+        5, 30, {"U": ([[None, None], ["1/3", None]], "t"),
+                "V": ([[None, "7/2"], [0, 0]], "s")},
+        {"m": ("U", "V", ["x2 + 1/9*x1^3 - 1/9*x1", "1/11*x2*x1^3 - 1/11*x2*x1"], "t")})
+    code, out, err = run_session(tmp_path, capsys, open_boxes, "underlying", "m")
+    assert (code, out, err) == (2, "", (
+        "error: morphism 'm': range condition fails: point ['8', '25/12'] maps to "
+        "['697/12', '1050/11'] outside the target box\n"))
+
+
 def test_out_file(tmp_path, capsys):
     report = tmp_path / "report.txt"
     code = main(["qk-verify", "Q", "K", "d", "--session",

@@ -4,16 +4,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monograde import (BasePoly, DomainSpec, GeneratorSpec, GradedElement,
                        IntPower, Morphism, MorphismError, NatPower, check_cocycle,
                        check_homomorphism, compose, continuation, parse_element,
                        split_model)
-from monograde.morphism import Atlas, RangeViolation, intersect_boxes
+from monograde.morphism import Atlas, RangeViolation, _check_range, intersect_boxes
 from monograde.sampling import random_element, random_poly
 
-from helpers import (random_endomorphism, random_invertible_matrix,
-                     rich_int_spec, taylor_sum_oracle)
+from helpers import (eval_oracle, grid_points_oracle, random_endomorphism,
+                     random_invertible_matrix, random_point_oracle,
+                     range_failure_oracle, rich_int_spec, taylor_sum_oracle)
 
 
 def nilpotent_pair_spec(truncation=6):
@@ -282,6 +285,57 @@ def test_range_condition_enforced():
         Morphism(src, tgt, [x], [th])  # x=2 falls outside [0,1]
     half = Morphism(src, tgt, [x / 2], [th])
     assert half.underlying_map()[0] == BasePoly.var(1, 1) * Fraction(1, 2)
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+INTERVALS = st.one_of(
+    st.tuples(RATIONALS, RATIONALS).map(sorted).map(tuple),
+    RATIONALS.map(lambda r: (r, r)),
+    RATIONALS.map(lambda r: (None, r)),
+    RATIONALS.map(lambda r: (r, None)),
+    st.just((None, None)))
+
+
+def boxes(n):
+    return st.lists(INTERVALS, min_size=n, max_size=n)
+
+
+def cubic_polys(n):
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    return st.dictionaries(exps, RATIONALS, max_size=4).map(
+        lambda terms: BasePoly(n, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_range_check_matches_fraction_oracle(data):
+    n, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    source = DomainSpec(GeneratorSpec(NatPower(1), n, [1], truncation=2),
+                        data.draw(boxes(n)))
+    target = DomainSpec(GeneratorSpec(NatPower(1), m, [1], truncation=2),
+                        data.draw(boxes(m)))
+    bodies = [data.draw(cubic_polys(n)) for _ in range(m)]
+    samples, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2 ** 16))
+    # an unbounded target lets the morphism exist; then check the drawn box
+    morph = Morphism(source, DomainSpec(target.genspec),
+                     [GradedElement.scalar(source.genspec, b) for b in bodies],
+                     [GradedElement.gen(source.genspec, 0)], samples=0)
+    message = "point %s maps to %s"
+    try:
+        _check_range(morph, target.box, samples, seed, message)
+        got = None
+    except RangeViolation as exc:
+        got = str(exc)
+    assert got == range_failure_oracle(bodies, source.box, target.box, samples, seed,
+                                       message)
+    rng = Random(seed)
+    points = grid_points_oracle(source.box) + [
+        random_point_oracle(rng, source.box) for _ in range(samples)]
+    assert [[Fraction(n, p[-1]) for n in p[:-1]]
+            for p in source.sample_points(samples, seed)] == points
+    for b in bodies:
+        for p in points:
+            assert b.eval(p) == eval_oracle(b, p)
 
 
 # -- atlases ----------------------------------------------------------------------

@@ -13,8 +13,10 @@ in-process passes: per workload, INPROCESS_ROUNDS rounds, the sides
 alternating which goes first, each a fresh interpreter per side that builds
 the seed-0 workload, runs one untimed pass of its commands through
 `monograde.cli.main` and times the next (perfbench's own `in_process_pass`,
-gate included).  Then it runs `--trace 1` at seed 0 once per side and
-workload for the per-layer metrics.
+gate included).  Session loads are timed the same way: each round loads
+every session of the seed-0 workload once untimed and once timed, which
+splits `setup_s` into its import and its load.  Then it runs `--trace 1`
+at seed 0 once per side and workload for the per-layer metrics.
 
 It writes BENCH_<label>.json at the root of the working tree: the machine,
 the Python version, both shas (the working tree's HEAD with a dirty flag)
@@ -25,8 +27,8 @@ change's wins, and the two rules a claim is judged by: a gain needs wins
 in nine tenths of the pairs and a median difference larger than the
 parent's quartile spread; no regression needs the change's median within
 the metric's bound from BENCHMARK.json.  A metric whose parent spread
-exceeds its bound is marked unresolved.  Each side's in-process pass times
-are recorded with their median.
+exceeds its bound is marked unresolved.  Each side's in-process pass and
+session-load times are recorded with their medians.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ gate = run.Gate(expected, seed)
 run.in_process_pass(wl, gate, cli)
 seconds = run.in_process_pass(wl, gate, cli)
 print(json.dumps({"seconds": seconds, "failed": gate.failed, "attempted": gate.attempted}))
+"""
+
+# One timed load of every session of a workload at TRACE_SEED, after an
+# untimed one; run in a source tree.
+LOAD = """
+import json, sys, time
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from monograde.session import load_session
+name, seed = sys.argv[1], int(sys.argv[2])
+wl = workloads.build(name, seed, Path(".bench_out") / ("load-%s-%d" % (name, seed)))
+paths = [str(path) for path in wl.sessions]
+for path in paths:
+    load_session(path)
+start = time.perf_counter()
+for path in paths:
+    load_session(path)
+print(json.dumps({"seconds": time.perf_counter() - start}))
 """
 
 
@@ -110,26 +131,27 @@ def run(tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
     return json.loads(lines[-1])
 
 
-def in_process(trees: dict, workload: str) -> dict:
-    """Per side, the timed in-process passes of INPROCESS_ROUNDS rounds,
-    their median and the commands that failed the gate; and which side went
-    first in each round."""
+def in_process(trees: dict, workload: str, script: str = INPROCESS) -> dict:
+    """Per side, the seconds `script` timed in INPROCESS_ROUNDS rounds,
+    their median and the sums of any counts it reports besides (the
+    commands that failed the gate); and which side went first in each
+    round."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = {side: {"passes_s": [], "failed": 0, "attempted": 0} for side in trees}
+    out = {side: {"passes_s": []} for side in trees}
     out["first"] = []
     for i in range(INPROCESS_ROUNDS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         out["first"].append(order[0])
         for side in order:
-            proc = subprocess.run([sys.executable, "-c", INPROCESS, workload, str(TRACE_SEED)],
+            proc = subprocess.run([sys.executable, "-c", script, workload, str(TRACE_SEED)],
                                   cwd=trees[side], env=env, capture_output=True, text=True)
             if proc.returncode:
                 raise SystemExit("in-process pass failed in %s:\n%s"
                                  % (trees[side], proc.stderr[-2000:]))
             result = json.loads(proc.stdout.strip().splitlines()[-1])
-            out[side]["passes_s"].append(result["seconds"])
-            out[side]["failed"] += result["failed"]
-            out[side]["attempted"] += result["attempted"]
+            out[side]["passes_s"].append(result.pop("seconds"))
+            for key, count in result.items():
+                out[side][key] = out[side].get(key, 0) + count
     for side in trees:
         out[side]["median_s"] = statistics.median(out[side]["passes_s"])
     return out
@@ -213,6 +235,11 @@ def main(argv=None) -> int:
     for w in workloads:
         report["in_process"]["workloads"][w] = result = in_process(trees, w)
         print("%s in-process pass median parent %.4f s, change %.4f s" % (
+            w, result["parent"]["median_s"], result["change"]["median_s"]), flush=True)
+    report["load"] = {"seed": TRACE_SEED, "workloads": {}}
+    for w in workloads:
+        report["load"]["workloads"][w] = result = in_process(trees, w, LOAD)
+        print("%s session-load median parent %.4f s, change %.4f s" % (
             w, result["parent"]["median_s"], result["change"]["median_s"]), flush=True)
     report["trace"] = {"seed": TRACE_SEED, "runs": {
         w: {side: run(trees[side], w, TRACE_SEED, seconds, 1) for side in trees}

@@ -16,7 +16,7 @@ from random import Random
 from .basecoeff import BasePoly
 from .galgebra import GradedElement, TermSum
 from .grading import (IntPower, KGroupElement, NatPower, k_add, k_element,
-                      k_embed, k_eq, k_mul, k_parity)
+                      k_eq, k_mul, k_parity)
 from .morphism import DomainSpec
 from .reporting import CheckReport, render
 from .sampling import random_element, random_poly, random_word
@@ -42,8 +42,7 @@ class Derivation:
                  base_values, gen_values):
         spec = domain.genspec
         grading = spec.grading
-        degree = KGroupElement(grading.check_element(degree.pos),
-                               grading.check_element(degree.neg))
+        degree = k_element(grading, degree.pos, degree.neg)
         base_values = tuple(base_values)
         gen_values = tuple(gen_values)
         if len(base_values) != spec.nvars:
@@ -52,12 +51,12 @@ class Derivation:
         if len(gen_values) != spec.ngens:
             raise CalculusError("need %d generator values, got %d"
                                 % (spec.ngens, len(gen_values)))
-        zero_k = k_embed(grading, grading.zero())
+        zero_k = k_element(grading, grading.zero())
         for mu, v in enumerate(base_values):
             self._check_value(spec, grading, v, degree, zero_k,
                               "value on x%d" % (mu + 1))
         for pos, v in enumerate(gen_values):
-            want = k_embed(grading, spec.generators[pos].degree)
+            want = k_element(grading, spec.generators[pos].degree)
             self._check_value(spec, grading, v, degree, want,
                               "value on generator %d" % pos)
         self.domain = domain
@@ -86,7 +85,7 @@ class Derivation:
             raise CalculusError("%s is not homogeneous" % what)
         (v_degree,) = degrees
         want = k_add(grading, degree, coord_deg)
-        if not k_eq(grading, k_embed(grading, v_degree), want):
+        if not k_eq(grading, k_element(grading, v_degree), want):
             raise CalculusError("%s has degree %s, expected derivation degree "
                                 "plus coordinate degree" %
                                 (what, grading.format_element(v_degree)))
@@ -96,7 +95,7 @@ class Derivation:
         spec = domain.genspec
         z = GradedElement.zero(spec)
         if degree is None:
-            degree = k_embed(spec.grading, spec.grading.zero())
+            degree = k_element(spec.grading, spec.grading.zero())
         return cls(domain, degree, [z] * spec.nvars, [z] * spec.ngens)
 
     def is_zero(self) -> bool:

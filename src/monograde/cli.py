@@ -8,11 +8,13 @@ report lines or a `CheckReport`.
 
 `main` and its `_outcome` alone map results and exceptions to exit codes:
 0 for success; 1 for a mathematical failure -- a failed `CheckReport`,
-with a located counterexample, or `NotInvertible`, `NotQClosed` or
-`RangeViolation`, reported as one `FAIL` line; 2 for input errors --
-`SessionError`, `ExprError`, `AlgebraError`, `GradingError`,
-`CalculusError`, `MorphismError` and an `--out` path that cannot be
-written, reported on stderr, and bad arguments, which argparse rejects.
+with a located counterexample, or `NotInvertible`, `NotQClosed` or the
+`RangeViolation` of a composite, reported as one `FAIL` line; 2 for input
+errors -- `SessionError` (which is how the loader reports a session
+morphism or transition that leaves its target box), `ExprError`,
+`AlgebraError`, `GradingError`, `CalculusError`, `MorphismError` and an
+`--out` path that cannot be written, reported on stderr, and bad
+arguments, which argparse rejects.
 Reports are line-oriented and deterministic for a fixed session and seed.
 """
 
@@ -27,7 +29,7 @@ from .calculus import (CalculusError, NotQClosed, bracket, check_descent,
 from .expr import (ExprError, parse_element, render_element, render_generator,
                    render_poly)
 from .galgebra import AlgebraError, NotInvertible
-from .grading import GradingError, format_k
+from .grading import GradingError, format_k, parity_counts
 from .morphism import (MorphismError, RangeViolation, check_cocycle,
                        check_homomorphism, compose)
 from .reporting import CheckReport
@@ -65,7 +67,7 @@ def _image_lines(spec, base, gens) -> list:
 
 
 def _compose(session, args, first, second):
-    m = compose(first, second, samples=session.samples, seed=session.seed)
+    m = compose(first, second)
     return _image_lines(m.target.genspec, m.base_images, m.gen_images)
 
 
@@ -85,16 +87,15 @@ def _descent(session, args, Q, K, d, token):
 def _check_monoid(session, args):
     g = session.grading
     lines = ["monoid kind: %s" % g.kind]
-    witness = g.cancellation_witness() if g.is_finite else None
     if g.is_finite:
+        witness = g.cancellation_witness()
         if witness is None:
             lines.append("cancellative: yes")
         else:
             x, y, z = (g.format_element(e) for e in witness)
             lines.append("non-cancellative: %s+%s = %s+%s, %s != %s"
                          % (x, y, x, z, y, z))
-        even = sum(1 for e in g.elements() if g.parity(e) == 0)
-        odd = sum(1 for e in g.elements() if g.parity(e) == 1)
+        even, odd = parity_counts(g)
         lines.append("even part %d, odd part %d: %s"
                      % (even, odd, "equal" if even == odd else "unequal"))
     else:
@@ -140,7 +141,7 @@ COMMANDS = {
         lambda s, a, m: check_homomorphism(m, samples=s.samples, seed=s.seed)),
     "verify-atlas": Command(
         "cocycle consistency of an atlas", (("atlas", "atlases"),),
-        lambda s, a, atlas: check_cocycle(atlas, samples=s.samples, seed=s.seed)),
+        lambda s, a, atlas: check_cocycle(atlas)),
     "bracket": Command(
         "graded commutator of two derivations",
         (("first", "derivations"), ("second", "derivations")), _bracket),

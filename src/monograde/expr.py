@@ -246,10 +246,9 @@ def _poly_terms_desc(poly: BasePoly):
 
 
 def render_poly(poly: BasePoly) -> str:
-    if poly.is_zero():
-        return "0"
-    return _join_terms((coeff, _monomial_factors(exps))
-                       for exps, coeff in _poly_terms_desc(poly))
+    """A base polynomial's text: the generator-free case of `render_element`."""
+    return render_element(GradedElement.scalar(GeneratorSpec(NatPower(1), poly.nvars, []),
+                                               poly))
 
 
 def render_generator(spec: GeneratorSpec, pos: int) -> str:

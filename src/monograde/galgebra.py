@@ -392,8 +392,6 @@ class GradedElement:
             for beta, poly in self.terms.items()}, self.truncated)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, BasePoly)):
-            other = GradedElement.scalar(self.spec, other)
         return (isinstance(other, GradedElement) and self.spec == other.spec
                 and self.terms == other.terms)
 

@@ -58,7 +58,7 @@ class GradingSpec:
         raise GradingError("monoid kind %r is not finite" % self.kind)
 
     def is_cancellative(self) -> bool:
-        raise NotImplementedError
+        return self.cancellation_witness() is None
 
     def cancellation_witness(self):
         """A triple (x, y, z) with x+y = x+z but y != z, or None."""
@@ -128,9 +128,6 @@ class _PowerSpec(GradingSpec):
             raise GradingError("%r is not %s" % (i, what))
         return self._out(t)
 
-    def is_cancellative(self) -> bool:
-        return True
-
     def _key(self):
         return (self.kind, self.ncomp)
 
@@ -191,10 +188,7 @@ class CyclicProduct(_PowerSpec):
         return self._tup(i)[self._parity_axis] % 2
 
     def check_element(self, i):
-        t = (i,) if isinstance(i, int) else i
-        if not (isinstance(t, tuple) and len(t) == self.ncomp
-                and all(isinstance(c, int) for c in t)):
-            raise GradingError("%r is not a %d-tuple" % (i, self.ncomp))
+        t = self._tup(self._check_components(i, lambda c: True, "a %d-tuple" % self.ncomp))
         return self._out(tuple(c % q for c, q in zip(t, self.orders)))
 
     def elements(self):
@@ -309,9 +303,6 @@ class FiniteTable(GradingSpec):
     def elements(self):
         return range(self.size)
 
-    def is_cancellative(self) -> bool:
-        return self.cancellation_witness() is None
-
     def cancellation_witness(self):
         for x in range(self.size):
             row = self.table[x]
@@ -354,12 +345,17 @@ def check_cancellative(spec: GradingSpec) -> bool:
     return spec.is_cancellative()
 
 
-def check_parity_cardinality(spec: GradingSpec) -> bool:
-    """Whether the even and odd parts have the same number of elements."""
+def parity_counts(spec: GradingSpec) -> tuple:
+    """The number of even and of odd elements of a finite monoid."""
     if not spec.is_finite:
         raise GradingError("cardinality comparison needs a finite monoid")
-    even = sum(1 for e in spec.elements() if spec.parity(e) == 0)
-    odd = sum(1 for e in spec.elements() if spec.parity(e) == 1)
+    bits = [spec.parity(e) for e in spec.elements()]
+    return len(bits) - sum(bits), sum(bits)
+
+
+def check_parity_cardinality(spec: GradingSpec) -> bool:
+    """Whether the even and odd parts have the same number of elements."""
+    even, odd = parity_counts(spec)
     return even == odd
 
 
@@ -406,12 +402,12 @@ class KGroupElement:
 
 
 def k_element(spec: GradingSpec, pos, neg=None) -> KGroupElement:
+    """The checked difference pos - neg; without neg, the embedding of pos."""
     return KGroupElement(spec.check_element(pos),
                          spec.zero() if neg is None else spec.check_element(neg))
 
 
-def k_embed(spec: GradingSpec, i) -> KGroupElement:
-    return k_element(spec, i)
+k_embed = k_element
 
 
 def k_add(spec: GradingSpec, a: KGroupElement, b: KGroupElement) -> KGroupElement:

@@ -106,7 +106,7 @@ class DomainSpec:
 # analytic continuation of base coefficients
 # ---------------------------------------------------------------------------
 
-def continuation(g: BasePoly, images, spec: GeneratorSpec | None = None) -> GradedElement:
+def continuation(g: BasePoly, images) -> GradedElement:
     """Extend the base polynomial g to graded arguments.
 
     Each image must be a degree-0 element; the result is g evaluated on
@@ -117,10 +117,9 @@ def continuation(g: BasePoly, images, spec: GeneratorSpec | None = None) -> Grad
     images = list(images)
     if len(images) != g.nvars:
         raise MorphismError("need %d images, got %d" % (g.nvars, len(images)))
-    if spec is None:
-        if not images:
-            raise MorphismError("cannot infer the target algebra of a constant")
-        spec = images[0].spec
+    if not images:
+        raise MorphismError("cannot infer the target algebra of a constant")
+    spec = images[0].spec
     zero_deg = spec.grading.zero()
     for mu, y in enumerate(images):
         if y.spec != spec:
@@ -169,8 +168,9 @@ class Morphism:
 
     Degree constraints are enforced at construction; the requirement that
     the underlying point map send the source box into the target box is
-    checked on a deterministic grid plus seeded random sample points, and
-    a violation is a hard error.  The images are never changed after
+    checked on a deterministic grid plus `samples` random points drawn
+    from `seed`, and a violation is a hard error; `restrict` and `compose`
+    reuse this sampling policy.  The images are never changed after
     construction, so the powers that `pullback` raises them to are cached
     on the morphism.
     """
@@ -208,6 +208,8 @@ class Morphism:
                     % (pos, src.grading.format_element(want)))
         self.base_images = base_images
         self.gen_images = gen_images
+        self.samples = samples
+        self.seed = seed
         self._base_powers: dict = {}
         self._gen_powers: dict = {}
         _check_range(self, target.box, samples, seed,
@@ -219,7 +221,7 @@ class Morphism:
 
     def restrict(self, box) -> "Morphism":
         return Morphism(DomainSpec(self.source.genspec, box), self.target,
-                        self.base_images, self.gen_images)
+                        self.base_images, self.gen_images, self.samples, self.seed)
 
     def pullback(self, f: GradedElement) -> GradedElement:
         """Substitute coordinate images for coordinates throughout f."""
@@ -257,18 +259,18 @@ class Morphism:
         return "Morphism(%r -> %r)" % (self.source, self.target)
 
 
-def compose(first: Morphism, second: Morphism,
-            samples: int = DEFAULT_RANGE_SAMPLES, seed: int = 0) -> Morphism:
+def compose(first: Morphism, second: Morphism) -> Morphism:
     """The composite domain map running first, then second; its pullback is
-    the pullback of second followed by the pullback of first."""
+    the pullback of second followed by the pullback of first.  Both range
+    checks use first's sampling policy."""
     if first.target.genspec != second.source.genspec:
         raise MorphismError("cannot compose: middle generator specs differ")
-    _check_range(first, second.source.box, samples, seed,
+    _check_range(first, second.source.box, first.samples, first.seed,
                  "cannot compose: point %s leaves the second source box at %s")
     return Morphism(first.source, second.target,
                     [first.pullback(y) for y in second.base_images],
                     [first.pullback(eta) for eta in second.gen_images],
-                    samples=samples, seed=seed)
+                    first.samples, first.seed)
 
 
 def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
@@ -354,11 +356,12 @@ class Atlas:
                 raise MorphismError("missing reverse transition (%d,%d)" % (b, a))
 
 
-def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
-                  seed: int = 0) -> CheckReport:
+def check_cocycle(atlas: Atlas) -> CheckReport:
     """Consistency of the transition system: declared self-transitions are
     identities, reverse transitions invert each other on the overlaps, and
-    composites around chart triples match the direct transitions."""
+    composites around chart triples match the direct transitions.  The
+    first leg of each composite, restricted or not, sets the sampling
+    policy of its range checks."""
     rep = CheckReport("atlas cocycle check")
     nm = atlas.names
 
@@ -368,7 +371,7 @@ def check_cocycle(atlas: Atlas, samples: int = DEFAULT_RANGE_SAMPLES,
         try:
             if box is not None:
                 first = first.restrict(box)
-            comp = compose(first, second, samples=samples, seed=seed)
+            comp = compose(first, second)
         except MorphismError as exc:
             rep.fail(locator, str(exc), "composable")
             return

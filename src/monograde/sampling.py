@@ -38,26 +38,26 @@ def random_word(rng: Random, spec: GeneratorSpec, max_len: int = 3):
     return words[rng.randrange(len(words))]
 
 
+def _random_terms(rng: Random, spec: GeneratorSpec, words, max_terms: int,
+                  max_degree: int) -> GradedElement:
+    """1 to max_terms terms, each a word drawn from words times a random poly."""
+    return GradedElement(spec, [
+        (words[rng.randrange(len(words))],
+         random_poly(rng, spec.nvars, max_degree=max_degree))
+        for _ in range(rng.randint(1, max_terms))])
+
+
 def random_element(rng: Random, spec: GeneratorSpec, max_terms: int = 3,
                    max_word: int = 3, max_degree: int = 2) -> GradedElement:
-    items = []
-    for _ in range(rng.randint(1, max_terms)):
-        items.append((random_word(rng, spec, max_word),
-                      random_poly(rng, spec.nvars, max_degree=max_degree)))
-    return GradedElement(spec, items)
+    return _random_terms(rng, spec, spec.words_up_to(max_word), max_terms, max_degree)
 
 
 def random_homogeneous(rng: Random, spec: GeneratorSpec, max_terms: int = 2,
                        max_word: int = 3, max_degree: int = 2) -> GradedElement:
     """A random element all of whose words share one grading degree."""
-    pick = random_word(rng, spec, max_word)
-    target = spec.word_degree(pick)
+    target = spec.word_degree(random_word(rng, spec, max_word))
     pool = [w for w in spec.words_up_to(max_word) if spec.word_degree(w) == target]
-    items = []
-    for _ in range(rng.randint(1, max_terms)):
-        items.append((pool[rng.randrange(len(pool))],
-                      random_poly(rng, spec.nvars, max_degree=max_degree)))
-    return GradedElement(spec, items)
+    return _random_terms(rng, spec, pool, max_terms, max_degree)
 
 
 def random_point_in(rng: Random, box, density: int = 8):

@@ -18,7 +18,7 @@ from .calculus import CalculusError, Derivation, DescentSequence
 from .expr import ExprError, parse_element
 from .galgebra import AlgebraError, GeneratorSpec, GradedElement
 from .grading import (CyclicProduct, FiniteTable, GradingError, IntPower,
-                      KGroupElement, NatPower, Z2Power)
+                      KGroupElement, NatPower, Z2Power, k_element)
 from .morphism import Atlas, DomainSpec, Morphism, MorphismError
 
 
@@ -63,23 +63,24 @@ def _int(value, what):
         raise SessionError("bad %s %r" % (what, value)) from exc
 
 
-def _degree(value):
+def _degree(grading, value):
+    """A checked degree of the grading, written as an integer or integer list."""
     if isinstance(value, list):
         if not all(isinstance(c, int) for c in value):
             raise SessionError("degree components must be integers")
-        return tuple(value)
-    if isinstance(value, int):
-        return value
-    raise SessionError("bad degree %r" % (value,))
+        value = tuple(value)
+    elif not isinstance(value, int):
+        raise SessionError("bad degree %r" % (value,))
+    return grading.check_element(value)
 
 
 def _k_degree(grading, value) -> KGroupElement:
-    if isinstance(value, dict):
-        if set(value) != {"pos", "neg"}:
-            raise SessionError("a split degree needs exactly 'pos' and 'neg'")
-        return KGroupElement(grading.check_element(_degree(value["pos"])),
-                             grading.check_element(_degree(value["neg"])))
-    return KGroupElement(grading.check_element(_degree(value)), grading.zero())
+    if not isinstance(value, dict):
+        return k_element(grading, _degree(grading, value))
+    if set(value) != {"pos", "neg"}:
+        raise SessionError("a split degree needs exactly 'pos' and 'neg'")
+    return k_element(grading, _degree(grading, value["pos"]),
+                     _degree(grading, value["neg"]))
 
 
 def _box(value, nvars):
@@ -231,7 +232,7 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
         try:
             nvars = _int(dom.get("vars", 0), "variable count")
             gens = _list(dom, "generators", "domain %r" % name)
-            degrees = [s.grading.check_element(_degree(g["degree"])) for g in gens]
+            degrees = [_degree(s.grading, g["degree"]) for g in gens]
             names = [g.get("name") for g in gens]
             spec = GeneratorSpec(s.grading, nvars, degrees,
                                  truncation=s.truncation, names=names)

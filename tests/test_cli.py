@@ -35,6 +35,16 @@ def test_check_monoid_table1(capsys):
     assert "even part 2, odd part 1: unequal" in out
 
 
+def test_check_monoid_nat_power_report(capsys):
+    code, out, err = run(capsys, "check-monoid", "--session",
+                         str(SESSIONS / "geometric.json"))
+    assert (code, err) == (0, "")
+    assert out == ("monoid kind: nat_power\n"
+                   "cancellative: yes (structural)\n"
+                   "infinite monoid: cardinality comparison skipped\n"
+                   "parity homomorphism: validated at construction\n")
+
+
 def test_invert_geometric_series(capsys):
     code, out, _ = run(capsys, "invert", "f", "--session",
                        str(SESSIONS / "geometric.json"))
@@ -213,7 +223,7 @@ def test_verify_atlas_self_transitions(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Morphism, "__init__", counting_init)
-    check_cocycle(s.atlases["selfish"], samples=s.samples, seed=s.seed)
+    check_cocycle(s.atlases["selfish"])
     assert len(built) == 2
 
 

@@ -385,3 +385,17 @@ def test_generator_names_round_trip(name):
     e = E("%s + x1" % name, spec)
     assert render_element(e) == "x1 + %s" % name
     assert E(render_element(e), spec) == e
+
+
+def test_element_never_equals_a_bare_scalar():
+    spec = nat1_spec()
+    one = GradedElement.one(spec)
+    for scalar in (1, Fraction(1), BasePoly.const(spec.nvars, 1)):
+        assert one != scalar and scalar != one
+        assert len({one, scalar}) == 2
+    assert GradedElement.zero(spec) != 0
+    assert BasePoly.const(1, 1) != 1
+    # equal elements hash equal, however they were built
+    a = E("th[1,1] + 1", spec)
+    b = GradedElement.gen(spec, 0) + one
+    assert a == b and hash(a) == hash(b) and len({a, b, one}) == 2

@@ -54,6 +54,28 @@ def test_cancellativity():
     assert check_cancellative(IntPower(2)) is True
 
 
+def test_is_cancellative_is_the_absence_of_a_witness():
+    specs = (NatPower(2), IntPower(1), CyclicProduct([2, 3]), Z2Power(2),
+             FiniteTable(((0, 1), (1, 0)), (0, 1)), table1())
+    for g in specs:
+        assert g.is_cancellative() == (g.cancellation_witness() is None), g
+    assert [g.is_cancellative() for g in specs] == [True] * 5 + [False]
+
+
+@pytest.mark.parametrize("spec, value, text", [
+    (NatPower(2), (1,), "(1,) is not a 2-tuple of naturals"),
+    (NatPower(2), (1, 2.5), "(1, 2.5) is not a 2-tuple of naturals"),
+    (IntPower(2), (1,), "(1,) is not a 2-tuple of integers"),
+    (IntPower(2), (1, "a"), "(1, 'a') is not a 2-tuple of integers"),
+    (CyclicProduct([2, 3]), (1,), "(1,) is not a 2-tuple"),
+    (CyclicProduct([2, 3]), (1, 2.5), "(1, 2.5) is not a 2-tuple"),
+])
+def test_check_element_texts(spec, value, text):
+    with pytest.raises(GradingError) as exc:
+        spec.check_element(value)
+    assert str(exc.value) == text
+
+
 def test_parity_cardinality():
     assert check_parity_cardinality(Z2Power(1)) is True
     assert check_parity_cardinality(CyclicProduct([4])) is True

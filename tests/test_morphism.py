@@ -11,6 +11,7 @@ from monograde import (BasePoly, DomainSpec, GeneratorSpec, GradedElement,
                        IntPower, Morphism, MorphismError, NatPower, check_cocycle,
                        check_homomorphism, compose, continuation, parse_element,
                        split_model)
+from monograde import morphism as morphism_module
 from monograde.morphism import Atlas, RangeViolation, _check_range, intersect_boxes
 from monograde.sampling import random_element, random_poly
 
@@ -408,6 +409,65 @@ def test_triple_cocycle():
            "FAIL triple (B,C,A): lhs=x1; 3/5*th[1,1] rhs=x1; 1/2*th[1,1]",
            "FAIL triple (C,A,B): lhs=x1; 2/5*th[1,1] rhs=x1; 1/3*th[1,1]",
            "FAIL triple (C,B,A): lhs=x1; 1/6*th[1,1] rhs=x1; 1/5*th[1,1]"])
+
+
+def arc_atlas(pairs):
+    """Charts [0,3] glued by translations: for (a, b) in pairs, the top
+    third [2,3] of chart a is the bottom third [0,1] of chart b."""
+    spec = GeneratorSpec(NatPower(1), 1, [1], truncation=4)
+    chart = DomainSpec(spec, [(0, 3)])
+    x = GradedElement.variable(spec, 1)
+    th = GradedElement.gen(spec, 0)
+    transitions = {}
+    for a, b in pairs:
+        transitions[(a, b)] = Morphism(DomainSpec(spec, [(2, 3)]), chart, [x - 2], [th])
+        transitions[(b, a)] = Morphism(DomainSpec(spec, [(0, 1)]), chart, [x + 2], [th])
+    return Atlas([chart] * 3, transitions, names=["A", "B", "C"])
+
+
+def test_cocycle_skips_a_triple_without_its_direct_transition():
+    # a chain A - B - C: no triple has a declared (a, c) transition
+    assert check_cocycle(arc_atlas([(0, 1), (1, 2)])).text() == "\n".join(
+        ["atlas cocycle check: PASS"]
+        + ["PASS pair (%s) inverts" % pair for pair in ("A,B", "B,A", "B,C", "C,B")])
+
+
+def test_cocycle_skips_a_triple_with_disjoint_overlaps():
+    # a circle of three arcs: each chart meets the other two in disjoint
+    # thirds, so no triple has a common overlap to compare on
+    atlas = arc_atlas([(0, 1), (1, 2), (2, 0)])
+    assert all((b, c) in atlas.transitions and (a, c) in atlas.transitions
+               for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 0, 2)))
+    assert check_cocycle(atlas).text() == "\n".join(
+        ["atlas cocycle check: PASS"]
+        + ["PASS pair (%s) inverts" % pair
+           for pair in ("A,B", "B,A", "A,C", "C,A", "B,C", "C,B")])
+
+
+def test_cocycle_and_compose_use_the_transitions_sampling_policy(monkeypatch):
+    spec = GeneratorSpec(NatPower(1), 1, [1], truncation=4)
+    x = BasePoly.var(1, 1)
+    overlap = [(-1, 1)]
+    scalars = {(0, 1): 2, (1, 0): Fraction(1, 2), (1, 2): 3, (2, 1): Fraction(1, 3),
+               (0, 2): 6, (2, 0): Fraction(1, 6)}
+    atlas = split_model(spec, [[(-2, 2)]] * 3,
+                        {pair: (overlap, [x], {1: [[c]]}) for pair, c in scalars.items()},
+                        names=["A", "B", "C"], samples=5, seed=7)
+    policies = []
+    check_range = morphism_module._check_range
+
+    def spy(m, box, samples, seed, message):
+        policies.append((samples, seed))
+        check_range(m, box, samples, seed, message)
+
+    monkeypatch.setattr(morphism_module, "_check_range", spy)
+    rep = check_cocycle(atlas)
+    assert rep.passed and rep.text().count("PASS triple") == 6
+    compose(atlas.transitions[(0, 1)], atlas.transitions[(1, 2)])
+    # 6 pairs and 6 triples, each a compose check and the composite's own,
+    # plus the 6 triple legs restricted to the common overlap; then compose
+    assert len(policies) == 6 * 2 + 6 * 3 + 2
+    assert set(policies) == {(5, 7)}
 
 
 # -- split models -----------------------------------------------------------------

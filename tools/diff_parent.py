@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Byte-identity check of the command line against a parent commit.
+
+    python3 tools/diff_parent.py --parent REV --export DIR
+
+Exports REV with `git archive` into DIR (which must not exist yet), then
+runs one corpus of command lines through `monograde.cli.main` in a fresh
+interpreter per side, the export first and the working tree second, and
+compares the SHA-256 digest of each run's (exit code, stdout, stderr).
+It prints every mismatch and exits 1 if there is any.
+
+The corpus has two parts:
+- every command of the three benchmark workloads at seeds 0-2, from the
+  unchanged `perfbench/workloads.py`;
+- every single-field mutation of the bundled sessions, with the command
+  that `tests/test_cli.py` runs on each (`FUZZ_COMMANDS`) at the
+  session's own `samples`, and the mutation test's ten replacement values
+  plus five that reach the numeric and string readers.
+
+The generated sessions are written under DIR/.bench_out/diff_parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench"),
+                str(ROOT / "tools")]
+
+import workloads  # noqa: E402  (perfbench)
+from bench_pairs import export  # noqa: E402
+from test_cli import FUZZ_COMMANDS, field_paths, replace_field  # noqa: E402
+
+SEEDS = (0, 1, 2)
+# test_single_field_mutations_never_raise's values, then 0, 3, "", "-1", "1/2"
+VALUES = (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1, 0, 3, "", "-1", "1/2")
+
+# Runs each command line of the JSON list in argv[1] through cli.main in a
+# source tree and prints the digest of each (exit code, stdout, stderr).
+RUNNER = """
+import contextlib, hashlib, io, json, sys
+sys.path[:0] = ["src"]
+import monograde.cli as cli
+with open(sys.argv[1], encoding="utf-8") as fh:
+    runs = json.load(fh)
+digests = []
+for argv in runs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = "raised %s: %s" % (type(exc).__name__, exc)
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    digests.append(hashlib.sha256(record.encode("utf-8")).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def corpus(out: Path) -> list:
+    """(label, argv) of every run."""
+    runs = []
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for name in (w["name"] for w in bench["workloads"]):
+        for seed in SEEDS:
+            wl = workloads.build(name, seed, out / ("%s-%d" % (name, seed)))
+            runs += [("%s seed %d: %s" % (name, seed, cmd.key), list(cmd.argv))
+                     for cmd in wl.commands]
+    for name, command in sorted(FUZZ_COMMANDS.items()):
+        base = json.loads((ROOT / "sessions" / name).read_text(encoding="utf-8"))
+        for i, path in enumerate(field_paths(base)):
+            for j, value in enumerate(VALUES):
+                data = json.loads(json.dumps(base))
+                replace_field(data, path, value)
+                session = out / ("%s-%d-%d.json" % (name[:-len(".json")], i, j))
+                session.write_text(json.dumps(data), encoding="utf-8")
+                runs.append(("%s %s = %s" % (name, list(path), json.dumps(value)),
+                             [*command, "--session", str(session)]))
+    return runs
+
+
+def digests(tree: Path, runs_file: Path) -> list:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(runs_file)], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit("runner failed in %s:\n%s" % (tree, proc.stderr[-2000:]))
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--export", required=True, type=Path,
+                        help="new directory to export the parent into")
+    args = parser.parse_args(argv)
+    export(args.parent, args.export)
+    out = args.export.resolve() / ".bench_out" / "diff_parent"
+    out.mkdir(parents=True)
+    runs = corpus(out)
+    runs_file = out / "runs.json"
+    runs_file.write_text(json.dumps([argv for _, argv in runs]), encoding="utf-8")
+    parent = digests(args.export.resolve(), runs_file)
+    change = digests(ROOT, runs_file)
+    mismatches = [label for (label, _), p, c in zip(runs, parent, change) if p != c]
+    for label in mismatches:
+        print("MISMATCH %s" % label)
+    print("%d runs, %d mismatches" % (len(runs), len(mismatches)))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -63,11 +63,9 @@ class Derivation:
         self.degree = degree
         self.base_values = base_values
         self.gen_values = gen_values
-        self.parity = k_parity(grading, degree)
         # Leibniz sign bit against each generator degree
         self._sign_bits = tuple(
-            (grading.parity(grading.mul(degree.pos, g.degree))
-             + grading.parity(grading.mul(degree.neg, g.degree))) % 2
+            k_parity(grading, k_mul(grading, degree, k_element(grading, g.degree)))
             for g in spec.generators)
         # Leibniz extension per word, and base value times word per
         # (coordinate, word), keyed by exponent vector; values never change

@@ -224,13 +224,6 @@ def parse_poly(text: str, nvars: int) -> BasePoly:
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def _monomial_factors(exps) -> list:
     out = []
     for k, e in enumerate(exps):
@@ -281,7 +274,7 @@ def _join_terms(parts) -> str:
         mag = abs(coeff)
         body = list(factors)
         if mag != 1 or not body:
-            body.insert(0, render_rational(mag))
+            body.insert(0, str(mag))
         text = "*".join(body)
         if not pieces:
             pieces.append(text if coeff > 0 else "-" + text)

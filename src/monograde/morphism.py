@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 from .basecoeff import BasePoly, integer_form, integer_point, integer_value
-from .galgebra import AlgebraError, GeneratorSpec, GradedElement, TermSum
+from .galgebra import GeneratorSpec, GradedElement, TermSum
 from .reporting import CheckReport
 from .sampling import (grid_points, random_element, random_homogeneous,
                        random_point_in)
@@ -448,9 +448,6 @@ def split_model(genspec: GeneratorSpec, chart_boxes, transitions, names=None,
                 gen_images[positions[i]] = GradedElement(genspec, [
                     (tuple(1 if p == positions[j] else 0 for p in range(genspec.ngens)), entry)
                     for j, entry in enumerate(row)])
-        try:
-            built[(a, b)] = Morphism(source, charts[b], base, gen_images,
-                                     samples=samples, seed=seed)
-        except AlgebraError as exc:
-            raise MorphismError(str(exc)) from exc
+        built[(a, b)] = Morphism(source, charts[b], base, gen_images,
+                                 samples=samples, seed=seed)
     return Atlas(charts, built, names=names)

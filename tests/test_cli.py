@@ -177,6 +177,8 @@ def test_check_descent_open_seed(tmp_path, capsys):
 @pytest.mark.parametrize("grading, counts", [
     ({"kind": "cyclic_product", "orders": [2, 3]}, "even part 3, odd part 3: equal"),
     ({"kind": "z2_power", "n": 2}, "even part 2, odd part 2: equal"),
+    ({"kind": "z2_power", "n": 3}, "even part 4, odd part 4: equal"),
+    ({"kind": "cyclic_product", "orders": [4, 3]}, "even part 6, odd part 6: equal"),
 ])
 def test_check_monoid_finite_cancellative(tmp_path, capsys, grading, counts):
     code, out, _ = run_session(tmp_path, capsys, {"format": 1, "grading": grading},
@@ -187,6 +189,18 @@ def test_check_monoid_finite_cancellative(tmp_path, capsys, grading, counts):
                    "%s\n"
                    "parity homomorphism: validated at construction\n"
                    % (grading["kind"], counts))
+
+
+@pytest.mark.parametrize("parity, text", [
+    ([1, 1, 0, 0], "parity of the identity must be 0"),
+    ([0, 1, 0, 0], "parity is not additive at a, b"),
+])
+def test_table_parity_errors_are_input_errors(tmp_path, capsys, parity, text):
+    grading = {"kind": "finite_table", "names": ["0", "a", "b", "c"], "parity": parity,
+               "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+    code, out, err = run_session(tmp_path, capsys, {"format": 1, "grading": grading},
+                                 "check-monoid")
+    assert (code, out, err) == (2, "", "error: bad grading: %s\n" % text)
 
 
 def self_transition_session():
@@ -539,13 +553,18 @@ FUZZ_COMMANDS = {
 }
 
 
+# the replacement values of the single-field mutations; tools/diff_parent.py
+# reads them too
+MUTATION_VALUES = (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1)
+
+
 @pytest.mark.parametrize("name", sorted(FUZZ_COMMANDS))
 def test_single_field_mutations_never_raise(tmp_path, capsys, monkeypatch, name):
     parser = cli.build_parser()  # built once: building it dominates a run
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     base = json.loads((SESSIONS / name).read_text())
     for path in list(field_paths(base)):
-        for value in (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1):
+        for value in MUTATION_VALUES:
             data = json.loads(json.dumps(base))
             replace_field(data, path, value)
             try:

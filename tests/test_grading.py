@@ -1,6 +1,7 @@
 """Grading monoids: parity, cancellativity, group completion, enumeration."""
 
 import pytest
+from itertools import product
 from random import Random
 
 from monograde import (CyclicProduct, FiniteTable, GradingError, IntPower,
@@ -10,7 +11,7 @@ from monograde import (CyclicProduct, FiniteTable, GradingError, IntPower,
                        k_element, k_eq, k_normalize, k_parity,
                        parity_functions_of_table, parity_of)
 from monograde.grading import (EXAMPLE_TABLE3, EXAMPLE_TABLE3_NAMES,
-                               EXAMPLE_TABLE3_PARITY)
+                               EXAMPLE_TABLE3_PARITY, parity_counts)
 
 
 def table1():
@@ -197,6 +198,31 @@ def test_table_validation():
         FiniteTable([[0, 1, 2], [1, 2, 0], [2, 1, 0]], [0, 0, 0])
 
 
+def test_table_parity_texts():
+    z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    with pytest.raises(GradingError, match="^parity of the identity must be 0$"):
+        FiniteTable(z3, (1, 0, 0))
+    with pytest.raises(GradingError, match="^parity is not additive at 1, 2$"):
+        FiniteTable(z3, (0, 1, 0))
+    with pytest.raises(GradingError, match="^parity is not additive at a, a$"):
+        FiniteTable(z3, (0, 1, 1), names=("0", "a", "b"))
+
+
+def test_cyclic_construction_does_not_enumerate_parities(monkeypatch):
+    # the total weight is a homomorphism by construction, so none of the
+    # 256² pairs of elements is checked
+    calls = []
+    parity = Z2Power.parity
+
+    def spy(self, i):
+        calls.append(i)
+        return parity(self, i)
+
+    monkeypatch.setattr(Z2Power, "parity", spy)
+    Z2Power(8)
+    assert len(calls) < 10
+
+
 def test_mul_table_validation():
     # Z_4 as a table with its ring product: accepted
     add = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -260,10 +286,18 @@ def test_enumeration_matches_classical_counts():
 
 def test_odd_cyclic_groups_have_no_parity():
     g = CyclicProduct([3])
-    assert not g.has_nontrivial_parity()
     assert all(parity_of(g, k) == 0 for k in range(3))
     add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     assert parity_functions_of_table(add) == []
+
+
+def test_cyclic_parity_counts_match_enumeration():
+    specs = [CyclicProduct(orders) for k in (1, 2)
+             for orders in product(range(1, 7), repeat=k)]
+    specs += [Z2Power(n) for n in range(1, 7)]
+    for g in specs:
+        bits = [g.parity(e) for e in g.elements()]
+        assert parity_counts(g) == (len(bits) - sum(bits), sum(bits)), g
 
 
 def test_parity_search_on_enumerated_tables():

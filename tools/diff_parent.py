@@ -35,11 +35,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench"),
 
 import workloads  # noqa: E402  (perfbench)
 from bench_pairs import export  # noqa: E402
-from test_cli import FUZZ_COMMANDS, field_paths, replace_field  # noqa: E402
+from test_cli import (FUZZ_COMMANDS, MUTATION_VALUES, field_paths,  # noqa: E402
+                      replace_field)
 
 SEEDS = (0, 1, 2)
-# test_single_field_mutations_never_raise's values, then 0, 3, "", "-1", "1/2"
-VALUES = (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1, 0, 3, "", "-1", "1/2")
+# the mutation test's values, then five that reach the numeric and string readers
+VALUES = MUTATION_VALUES + (0, 3, "", "-1", "1/2")
 
 # Runs each command line of the JSON list in argv[1] through cli.main in a
 # source tree and prints the digest of each (exit code, stdout, stderr).

@@ -84,10 +84,17 @@ def _descent(session, args, Q, K, d, token):
     return ["O(%d) = %s" % (p, render_element(e)) for p, e in enumerate(seq)]
 
 
+MAX_COUNT_DIGITS = 4300  # CPython's default limit on int-to-string conversion
+
+
 def _check_monoid(session, args):
     g = session.grading
     lines = ["monoid kind: %s" % g.kind]
     if g.is_finite:
+        even, odd = parity_counts(g)
+        if max(even, odd) >= 10 ** MAX_COUNT_DIGITS:
+            raise GradingError("the parity counts have more than %d digits, "
+                               "the limit for the report" % MAX_COUNT_DIGITS)
         witness = g.cancellation_witness()
         if witness is None:
             lines.append("cancellative: yes")
@@ -95,7 +102,6 @@ def _check_monoid(session, args):
             x, y, z = (g.format_element(e) for e in witness)
             lines.append("non-cancellative: %s+%s = %s+%s, %s != %s"
                          % (x, y, x, z, y, z))
-        even, odd = parity_counts(g)
         lines.append("even part %d, odd part %d: %s"
                      % (even, odd, "equal" if even == odd else "unequal"))
     else:

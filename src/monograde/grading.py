@@ -358,7 +358,7 @@ def element_order(spec: GradingSpec, i):
         raise GradingError("element order needs a finite monoid")
     i = spec.check_element(i)
     acc = i
-    bound = sum(1 for _ in spec.elements())
+    bound = sum(parity_counts(spec))
     for m in range(1, bound + 1):
         if acc == spec.zero():
             return m

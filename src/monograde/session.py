@@ -163,7 +163,7 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
             raise SessionError("cannot read session file: %s" % exc) from exc
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SessionError("not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise SessionError("session must be a JSON object")

@@ -288,3 +288,82 @@ def range_failure_oracle(bodies, source_box, box, samples, seed, message):
                for (lo, hi), c in zip(box, q)):
             return message % ([str(c) for c in p], [str(c) for c in q])
     return None
+
+
+# -- relation checks by probes alone -------------------------------------------
+
+def lie_axioms_by_samples(d1, d2, d3, samples=50, seed=0):
+    """`check_lie_axioms` as every sample decides it: each identity is
+    applied to all `samples` random elements, with the library's draws."""
+    from monograde import bracket
+    from monograde.grading import k_mul, k_parity
+    from monograde.reporting import CheckReport, render
+    from monograde.sampling import random_element
+    rep = CheckReport("graded Lie axiom check")
+    grading = d1.domain.genspec.grading
+    rng = Random(seed)
+    elems = [random_element(rng, d1.domain.genspec) for _ in range(samples)]
+
+    for label, a, b in (("(1,2)", d1, d2), ("(1,3)", d1, d3), ("(2,3)", d2, d3)):
+        ab = bracket(a, b)
+        ba = bracket(b, a)
+        sign = k_parity(grading, k_mul(grading, a.degree, b.degree))
+        rep.first_counterexample(
+            "antisymmetry %s (%d samples)" % (label, samples), elems,
+            lambda f: (ab.apply(f), ba.apply(f) if sign else -ba.apply(f)),
+            lambda f: "antisymmetry %s at %s" % (label, render(f)))
+
+    lhs_op = bracket(d1, bracket(d2, d3))
+    rhs1_op = bracket(bracket(d1, d2), d3)
+    rhs2_op = bracket(d2, bracket(d1, d3))
+    sign12 = k_parity(grading, k_mul(grading, d1.degree, d2.degree))
+
+    def jacobi(f):
+        lhs = lhs_op.apply(f)
+        tail = rhs2_op.apply(f)
+        return lhs, rhs1_op.apply(f) + (-tail if sign12 else tail)
+
+    rep.first_counterexample("jacobi (%d samples)" % samples, elems, jacobi,
+                             lambda f: "jacobi at %s" % render(f))
+    return rep
+
+
+def qk_verify_by_probes(Q, K, d, max_word=4, samples=20, seed=0):
+    """`qk_verify` as every probe decides it: each relation is applied to
+    every probe until the first counterexample, with the library's probes
+    and draws.  The degree checks are left to the library."""
+    from monograde import bracket
+    from monograde.calculus import _exponents_up_to
+    from monograde.reporting import CheckReport, render
+    from monograde.sampling import random_poly, random_word
+    spec = Q.domain.genspec
+    rep = CheckReport("qk structure check")
+    rng = Random(seed)
+    base_monomials = _exponents_up_to(spec.nvars, 2)
+    probes = []
+    for w in spec.words_up_to(max_word):
+        for exps in base_monomials:
+            mono = BasePoly(spec.nvars, {exps: 1})
+            probes.append(("monomial", GradedElement(spec, {w: mono})))
+    for _ in range(samples):
+        w = random_word(rng, spec, max_word)
+        poly = random_poly(rng, spec.nvars)
+        probes.append(("sample", GradedElement(spec, {w: poly})))
+
+    zero = GradedElement.zero(spec)
+    relations = (
+        ("Q^2 = 0", lambda f: (Q(Q(f)), zero)),
+        ("QK+KQ = d", lambda f: (Q(K(f)) + K(Q(f)), d(f))),
+        ("Kd+dK = 0", lambda f: (K(d(f)) + d(K(f)), zero)),
+    )
+    for label, sides in relations:
+        rep.first_counterexample(
+            "%s on %d probes (word length <= %d)" % (label, len(probes), max_word),
+            probes, lambda probe: sides(probe[1]),
+            lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1])))
+
+    rep.note("NOTE bracket [Q,K] %s d as a derivation"
+             % ("equals" if bracket(Q, K) == d else "differs from"))
+    rep.note("NOTE bracket [K,d] %s the zero derivation"
+             % ("is" if bracket(K, d).is_zero() else "is not"))
+    return rep

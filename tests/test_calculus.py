@@ -4,18 +4,20 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monograde import (Derivation, DescentSequence, GeneratorSpec,
+from monograde import (BasePoly, Derivation, DescentSequence, GeneratorSpec,
                        GradedElement, IntPower, NatPower, NotQClosed, bracket,
                        check_descent, check_exact, check_lie_axioms,
-                       k_sequence, qk_verify)
+                       k_sequence, parse_element, qk_verify)
 from monograde.calculus import CalculusError
 from monograde.grading import KGroupElement, k_mul, k_parity
 from monograde.morphism import DomainSpec
 from monograde.sampling import random_element, random_homogeneous
 from monograde.session import load_session
 
-from helpers import qk_model
+from helpers import lie_axioms_by_samples, qk_model, qk_verify_by_probes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,6 +183,43 @@ def test_lie_axiom_report():
     assert rep.passed
 
 
+# NatPower(1) with odd generators of degree 1 and an even one of degree 2;
+# derivation degrees pos-neg from -2 to 2, so pairs of either sign bit
+# occur, and a field of negative degree may send a generator to a body term
+LIE_DEGREES = ((0, 1), (0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 0))
+
+
+@st.composite
+def lie_fields(draw, spec):
+    pos, neg = draw(st.sampled_from(LIE_DEGREES))
+    values = [draw(homogeneous_value(spec, degree + pos - neg))
+              for degree in [0] + [g.degree for g in spec.generators]]
+    return Derivation(DomainSpec(spec), KGroupElement(pos, neg), values[:1], values[1:])
+
+
+LIE_SPEC = GeneratorSpec(NatPower(1), 1, [1, 1, 2], truncation=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lie_fields(LIE_SPEC), lie_fields(LIE_SPEC), lie_fields(LIE_SPEC),
+       st.integers(0, 6), st.integers(0, 5))
+def test_lie_axioms_match_the_sampling_oracle(d1, d2, d3, samples, seed):
+    assert (check_lie_axioms(d1, d2, d3, samples=samples, seed=seed).text()
+            == lie_axioms_by_samples(d1, d2, d3, samples, seed).text())
+
+
+def test_lie_axioms_decided_on_the_coordinates(monkeypatch):
+    spec, dom, (x, th1, th2), (d_x, d_th1, d_th2) = pair_setup()
+    zero = GradedElement.zero(spec)
+    D3 = Derivation(dom, KGroupElement(1, 1), [zero], [zero, x * th1])
+    calls = count_applies(monkeypatch)
+    text = check_lie_axioms(d_th1, D3, d_x, samples=60, seed=0).text()
+    # two applications per coordinate (x1, th1, th2) in each of the six
+    # brackets of antisymmetry and the six of Jacobi, and none on a sample
+    assert len(calls) == 12 * 2 * 3
+    assert text == lie_axioms_by_samples(d_th1, D3, d_x, samples=60, seed=0).text()
+
+
 def test_bracket_degree_is_additive():
     spec, dom, _, (d_x, d_th1, d_th2) = pair_setup()
     g = spec.grading
@@ -248,6 +287,107 @@ def test_qk_scaled_k_fails_at_base_monomial():
         "FAIL QK+KQ = d at monomial x1: lhs=2*psi rhs=psi",
         "PASS Kd+dK = 0 on 41 probes (word length <= 3)",
         "NOTE bracket [Q,K] differs from d as a derivation",
+        "NOTE bracket [K,d] is the zero derivation"])
+
+
+# The QK fields and their coordinates, with the values of the model of
+# `helpers.qk_model` that exist over a spec; a spec with a generator of
+# degree (0,-1), (-1,1) or (-1,0) lets Q, K or d send it to a body term.
+QK_DEGREES = (("Q", (0, 1), (0, 0)), ("K", (1, 0), (0, 1)), ("d", (1, 0), (0, 0)))
+QK_MODEL = {("Q", "x1"): "theta", ("Q", "psi"): "phi", ("K", "theta"): "psi",
+            ("d", "x1"): "psi", ("d", "theta"): "phi"}
+QK_GENERATORS = (
+    (NatPower(2), ((0, 1), (1, 0), (1, 1)), ("theta", "psi", "phi")),
+    (IntPower(2), ((0, 1), (1, 0), (0, -1)), ("theta", "psi", "eta")),
+    (IntPower(2), ((0, 1), (1, 0), (-1, 1)), ("theta", "psi", "u")),
+    (IntPower(2), ((0, 1), (1, 0), (-1, 0)), ("theta", "psi", "chi")),
+)
+
+
+@st.composite
+def homogeneous_value(draw, spec, degree, model=None):
+    """Zero, the model value, or one or two terms c*x1^e*word of the degree;
+    a degree-0 value may have a body term."""
+    kind = draw(st.sampled_from(("zero", "model", "random")))
+    if kind == "model" and model is not None:
+        return parse_element(model, spec)
+    pool = [w for w in spec.words_up_to(spec.truncation) if spec.word_degree(w) == degree]
+    if kind == "zero" or not pool:
+        return GradedElement.zero(spec)
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1),
+                                    st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=2))
+    return GradedElement(spec, [(w, BasePoly(spec.nvars, {(e,): c})) for w, e, c in terms])
+
+
+@st.composite
+def qk_triples(draw):
+    grading, degrees, names = draw(st.sampled_from(QK_GENERATORS))
+    spec = GeneratorSpec(grading, 1, list(degrees), truncation=draw(st.integers(2, 3)),
+                         names=list(names))
+    dom = DomainSpec(spec)
+    coords = [("x1", (0, 0))] + [(g.name, g.degree) for g in spec.generators]
+    fields = []
+    for name, pos, neg in QK_DEGREES:
+        values = []
+        for coord, degree in coords:
+            model = QK_MODEL.get((name, coord))
+            values.append(draw(homogeneous_value(
+                spec, tuple(p - n + c for p, n, c in zip(pos, neg, degree)),
+                model if model in names else None)))
+        fields.append(Derivation(dom, KGroupElement(pos, neg), values[:1], values[1:]))
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(qk_triples(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 5))
+def test_qk_verify_matches_the_probe_oracle(fields, max_word, samples, seed):
+    Q, K, d = fields
+    assert (qk_verify(Q, K, d, max_word=max_word, samples=samples, seed=seed).text()
+            == qk_verify_by_probes(Q, K, d, max_word, samples, seed).text())
+
+
+def count_applies(monkeypatch):
+    calls = []
+    apply = Derivation.apply
+    monkeypatch.setattr(Derivation, "apply", lambda self, f: calls.append(f) or apply(self, f))
+    return calls
+
+
+def test_qk_relations_are_decided_on_the_coordinates(monkeypatch):
+    spec, dom, _, (Q, K, d) = qk_model()
+    assert Q.keeps_word_length and K.keeps_word_length and d.keeps_word_length
+    calls = count_applies(monkeypatch)
+    text = qk_verify(Q, K, d, max_word=4, samples=20, seed=0).text()
+    # two applications per coordinate (x1 and three generators) in each of
+    # the brackets [Q,Q], [Q,K] and [K,d], and none on a probe
+    assert len(calls) == 3 * 2 * 4
+    assert text == qk_verify_by_probes(Q, K, d, max_word=4, samples=20, seed=0).text()
+    assert "PASS QK+KQ = d on 68 probes (word length <= 4)" in text.splitlines()
+
+
+def test_a_length_lowering_field_is_probed():
+    # K sends u of degree (-1,1) to 1, as d/du does.  Both brackets equal the
+    # right sides, but x1*u^2 shows both relations failing at truncation 2:
+    # d(x1*u^2) = u^2*psi is dropped before K can lower it back
+    spec = GeneratorSpec(IntPower(2), 1, [(0, 1), (1, 0), (-1, 1)], truncation=2,
+                         names=["theta", "psi", "u"])
+    dom = DomainSpec(spec)
+
+    def field(pos, neg, on_x, by_name):
+        return Derivation(dom, KGroupElement(pos, neg), [parse_element(on_x, spec)],
+                          [parse_element(by_name.get(g.name, "0"), spec)
+                           for g in spec.generators])
+
+    Q = field((0, 1), (0, 0), "theta", {})
+    K = field((1, 0), (0, 1), "0", {"theta": "psi", "u": "1"})
+    d = field((1, 0), (0, 0), "psi", {})
+    assert not K.keeps_word_length and Q.keeps_word_length and d.keeps_word_length
+    assert qk_verify(Q, K, d, max_word=2, samples=3, seed=0).text() == "\n".join([
+        "qk structure check: FAIL (2)",
+        "PASS Q^2 = 0 on 27 probes (word length <= 2)",
+        "FAIL QK+KQ = d at monomial x1*u^2: lhs=-2*u*theta rhs=0",
+        "FAIL Kd+dK = 0 at monomial x1*u^2: lhs=-2*u*psi rhs=0",
+        "NOTE bracket [Q,K] equals d as a derivation",
         "NOTE bracket [K,d] is the zero derivation"])
 
 

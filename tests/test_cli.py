@@ -191,6 +191,31 @@ def test_check_monoid_finite_cancellative(tmp_path, capsys, grading, counts):
                    % (grading["kind"], counts))
 
 
+def test_check_monoid_counts_within_the_digit_limit(tmp_path, capsys):
+    # 2^14284 has 4300 digits, 2^14285 has 4301; the second is refused
+    # before the report is built, not by Python's int-to-str limit
+    code, out, err = run_session(tmp_path, capsys, {"format": 1, "grading": {
+        "kind": "z2_power", "n": 14285}}, "check-monoid")
+    count = str(2 ** 14284)
+    assert (code, err) == (0, "")
+    assert "even part %s, odd part %s: equal\n" % (count, count) in out
+    for grading in ({"kind": "z2_power", "n": 14286}, {"kind": "z2_power", "n": 15000},
+                    {"kind": "cyclic_product", "orders": [2 * 10 ** 4299, 10]}):
+        code, out, err = run_session(tmp_path, capsys, {"format": 1, "grading": grading},
+                                     "check-monoid")
+        assert (code, out, err) == (2, "", "error: the parity counts have more than 4300 "
+                                    "digits, the limit for the report\n")
+
+
+def test_integer_literal_over_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text('{"format": 1, "grading": {"kind": "cyclic_product", '
+                    '"orders": [1%s]}}' % ("0" * 4300))
+    code, out, err = run(capsys, "check-monoid", "--session", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize("parity, text", [
     ([1, 1, 0, 0], "parity of the identity must be 0"),
     ([0, 1, 0, 0], "parity is not additive at a, b"),

@@ -134,6 +134,36 @@ def test_element_order_and_the_failed_order_formula():
     assert (parity_of(g, 1) + parity_of(g, 1)) % 2 == parity_of(g, g.add(1, 1))
 
 
+def test_element_order_matches_enumeration():
+    # the loop bound is the cardinality from parity_counts; the oracle
+    # bounds the same search by enumerating the elements
+    specs = [CyclicProduct(orders) for k in (1, 2)
+             for orders in product(range(1, 6), repeat=k)]
+    specs += [Z2Power(n) for n in range(1, 5)] + [table1()]
+    specs += [FiniteTable(t, [0] * len(t)) for t in all_cancellative_tables(4)]
+    for g in specs:
+        elements = list(g.elements())
+        assert sum(parity_counts(g)) == len(elements), g
+        for i in elements:
+            acc, want = i, None
+            for m in range(1, len(elements) + 1):
+                if acc == g.zero():
+                    want = m
+                    break
+                acc = g.add(acc, i)
+            assert element_order(g, i) == want, (g, i)
+    assert [element_order(table1(), i) for i in range(3)] == [1, None, None]
+
+
+def test_element_order_does_not_enumerate(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated the monoid")
+
+    monkeypatch.setattr(CyclicProduct, "elements", refuse)
+    assert element_order(Z2Power(22), (1,) + (0,) * 21) == 2
+    assert element_order(CyclicProduct([6, 10 ** 30]), (2, 0)) == 3
+
+
 def test_parity_homomorphism_randomized():
     rng = Random(0)
     specs = [NatPower(1), NatPower(2), IntPower(1), IntPower(2),

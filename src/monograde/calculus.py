@@ -11,6 +11,7 @@ product taken in the completed semi-ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 from .basecoeff import BasePoly
@@ -210,18 +211,17 @@ def check_lie_axioms(d1: Derivation, d2: Derivation, d3: Derivation,
     sides agree on the coordinates they agree on every element; otherwise
     the first of `samples` random elements where they differ is located."""
     rep = CheckReport("graded Lie axiom check")
-    rng = Random(seed)
-    elems = [random_element(rng, d1.domain.genspec) for _ in range(samples)]
 
     def check(passed, what, lhs_op, rhs_ops, combine):
         holds = all(lhs == combine(*rhs) for lhs, *rhs in zip(
             lhs_op.base_values + lhs_op.gen_values,
             *(op.base_values + op.gen_values for op in rhs_ops)))
-        # an identity that holds on the coordinates has no counterexample
+        # an identity that holds on the coordinates has no counterexample to draw
+        rng = Random(seed)
         rep.first_counterexample(
-            passed, () if holds else elems,
-            lambda f: (lhs_op.apply(f), combine(*(op.apply(f) for op in rhs_ops))),
-            lambda f: "%s at %s" % (what, render(f)))
+            () if holds else (random_element(rng, d1.domain.genspec) for _ in range(samples)),
+            (passed, lambda f: (lhs_op.apply(f), combine(*(op.apply(f) for op in rhs_ops))),
+             lambda f: "%s at %s" % (what, render(f))))
 
     for label, a, b in (("(1,2)", d1, d2), ("(1,3)", d1, d3), ("(2,3)", d2, d3)):
         sign = _sign_bit(a, b)
@@ -270,17 +270,21 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
     _require_degree(grading, d, (1, 0), (0, 0), "d")
 
     rep = CheckReport("qk structure check")
-    rng = Random(seed)
-    base_monomials = _exponents_up_to(spec.nvars, 2)
-    probes = []
-    for w in spec.words_up_to(max_word):
-        for exps in base_monomials:
-            mono = BasePoly(spec.nvars, {exps: 1})
-            probes.append(("monomial", GradedElement(spec, {w: mono})))
-    for _ in range(samples):
-        w = random_word(rng, spec, max_word)
-        poly = random_poly(rng, spec.nvars)
-        probes.append(("sample", GradedElement(spec, {w: poly})))
+    words = spec.words_up_to(max_word)
+    monomials = [BasePoly._raw(spec.nvars, {e: Fraction(1)})
+                 for e in _exponents_up_to(spec.nvars, 2)]
+    count = len(words) * len(monomials) + samples
+
+    @cache
+    def probes():
+        # words_up_to gives admissible words within the truncation order; a
+        # sample draws its word, then its coefficient
+        rng = Random(seed)
+        return [("monomial", GradedElement._raw(spec, {w: mono}))
+                for w in words for mono in monomials] + [
+            ("sample", GradedElement(spec, {random_word(rng, spec, max_word):
+                                            random_poly(rng, spec.nvars)}))
+            for _ in range(samples)]
 
     # With sign bit 1 a relation is a graded commutator: Q^2 = [Q,Q]/2,
     # QK+KQ = [Q,K], Kd+dK = [K,d].  When no field lowers word length, that
@@ -297,10 +301,10 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
     for label, sides, a, b, holds in relations:
         # a relation decided on the coordinates has no counterexample
         rep.first_counterexample(
-            "%s on %d probes (word length <= %d)" % (label, len(probes), max_word),
-            () if exact and _sign_bit(a, b) and holds else probes,
-            lambda probe: sides(probe[1]),
-            lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1])))
+            () if exact and _sign_bit(a, b) and holds else probes(),
+            ("%s on %d probes (word length <= %d)" % (label, count, max_word),
+             lambda probe: sides(probe[1]),
+             lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1]))))
 
     # graded-bracket forms, for comparison with the literal anticommutators
     rep.note("NOTE bracket [Q,K] %s d as a derivation"

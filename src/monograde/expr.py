@@ -33,10 +33,12 @@ reproduces the element exactly.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .basecoeff import BasePoly
-from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
+from .galgebra import (NAME_PATTERN, AlgebraError, GeneratorSpec, GradedElement,
+                       TermSum)
 from .grading import FiniteTable, GradingError, NatPower
 
 
@@ -274,7 +276,11 @@ def _join_terms(parts) -> str:
         mag = abs(coeff)
         body = list(factors)
         if mag != 1 or not body:
-            body.insert(0, str(mag))
+            try:
+                body.insert(0, str(mag))
+            except ValueError as exc:  # the interpreter's int-to-string limit
+                raise AlgebraError("a coefficient has more than %d digits, the limit "
+                                   "for printing" % sys.get_int_max_str_digits()) from exc
         text = "*".join(body)
         if not pieces:
             pieces.append(text if coeff > 0 else "-" + text)

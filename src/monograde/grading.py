@@ -9,7 +9,7 @@ represented by formal differences (`KGroupElement`).
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, lcm, prod
 
 
 class GradingError(ValueError):
@@ -353,13 +353,17 @@ def check_parity_cardinality(spec: GradingSpec) -> bool:
 
 
 def element_order(spec: GradingSpec, i):
-    """Least m >= 1 with m*i = 0, or None if no multiple returns to 0."""
+    """Least m >= 1 with m*i = 0, or None if no multiple returns to 0.
+
+    In a cyclic product it is the lcm of the component orders q/gcd(c, q);
+    in a table, the multiples are stepped through, at most one per element."""
     if not spec.is_finite:
         raise GradingError("element order needs a finite monoid")
     i = spec.check_element(i)
+    if isinstance(spec, CyclicProduct):
+        return lcm(*(q // gcd(c, q) for c, q in zip(spec._tup(i), spec.orders)))
     acc = i
-    bound = sum(parity_counts(spec))
-    for m in range(1, bound + 1):
+    for m in range(1, spec.size + 1):
         if acc == spec.zero():
             return m
         acc = spec.add(acc, i)

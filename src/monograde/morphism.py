@@ -298,29 +298,18 @@ def check_homomorphism(m: Morphism, samples: int = 100, seed: int = 0) -> CheckR
     rep = CheckReport("homomorphism check")
     rep.compare("unit", m.pullback(GradedElement.one(tgt)),
                 GradedElement.one(m.source.genspec))
-    failed = set()
-    for k in range(samples):
-        f = random_element(rng, tgt)
-        g = random_element(rng, tgt)
-        h = random_homogeneous(rng, tgt)
-        if "additivity" not in failed:
-            lhs, rhs = m.pullback(f + g), m.pullback(f) + m.pullback(g)
-            if lhs != rhs:
-                rep.fail("additivity sample %d" % k, lhs, rhs)
-                failed.add("additivity")
-        if "multiplicativity" not in failed:
-            lhs, rhs = m.pullback(f * g), m.pullback(f) * m.pullback(g)
-            if lhs != rhs:
-                rep.fail("multiplicativity sample %d" % k, lhs, rhs)
-                failed.add("multiplicativity")
-        if "degree preservation" not in failed:
-            ph = m.pullback(h)
-            if not ph.degrees() <= h.degrees():
-                rep.fail("degree sample %d" % k, h, ph)
-                failed.add("degree preservation")
-    for label in ("additivity", "multiplicativity", "degree preservation"):
-        if label not in failed:
-            rep.ok("%s (%d samples)" % (label, samples))
+    # probe k: f, g, h, and the pullbacks of f and g that two relations share
+    draws = ((random_element(rng, tgt), random_element(rng, tgt), random_homogeneous(rng, tgt))
+             for _ in range(samples))
+    rep.first_counterexample(
+        ((k, f, g, h, m.pullback(f), m.pullback(g)) for k, (f, g, h) in enumerate(draws)),
+        ("additivity (%d samples)" % samples, lambda p: (m.pullback(p[1] + p[2]), p[4] + p[5]),
+         lambda p: "additivity sample %d" % p[0]),
+        ("multiplicativity (%d samples)" % samples,
+         lambda p: (m.pullback(p[1] * p[2]), p[4] * p[5]),
+         lambda p: "multiplicativity sample %d" % p[0]),
+        ("degree preservation (%d samples)" % samples, lambda p: (p[3], m.pullback(p[3])),
+         lambda p: "degree sample %d" % p[0], lambda h, ph: ph.degrees() <= h.degrees()))
     return rep
 
 

@@ -44,16 +44,23 @@ class CheckReport:
         else:
             self.fail(locator, lhs, rhs)
 
-    def first_counterexample(self, passed: str, probes, sides, locate):
-        """Compute sides(probe) for one probe at a time.  PASS `passed` if
-        the two sides agree on every probe; else FAIL at locate(probe) of
-        the first probe where they differ, with both sides."""
+    def first_counterexample(self, probes, *relations):
+        """The one probe runner over relations (passed, sides, locate), each
+        with an optional holds(lhs, rhs) in place of `==`.  Each probe in turn
+        feeds every relation not yet failed, FAIL at locate(probe) where its
+        sides do not hold; then PASS `passed` of each relation never failed."""
+        live = list(relations)
         for probe in probes:
-            lhs, rhs = sides(probe)
-            if lhs != rhs:
-                self.fail(locate(probe), lhs, rhs)
-                return
-        self.ok(passed)
+            for rel in tuple(live):
+                _, sides, locate, *holds = rel
+                lhs, rhs = sides(probe)
+                if not (holds[0](lhs, rhs) if holds else lhs == rhs):
+                    self.fail(locate(probe), lhs, rhs)
+                    live.remove(rel)
+            if not live:
+                break
+        for passed, *_ in live:
+            self.ok(passed)
 
     def note(self, text: str):
         self.lines.append(text)

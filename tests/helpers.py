@@ -309,9 +309,9 @@ def lie_axioms_by_samples(d1, d2, d3, samples=50, seed=0):
         ba = bracket(b, a)
         sign = k_parity(grading, k_mul(grading, a.degree, b.degree))
         rep.first_counterexample(
-            "antisymmetry %s (%d samples)" % (label, samples), elems,
-            lambda f: (ab.apply(f), ba.apply(f) if sign else -ba.apply(f)),
-            lambda f: "antisymmetry %s at %s" % (label, render(f)))
+            elems, ("antisymmetry %s (%d samples)" % (label, samples),
+                    lambda f: (ab.apply(f), ba.apply(f) if sign else -ba.apply(f)),
+                    lambda f: "antisymmetry %s at %s" % (label, render(f))))
 
     lhs_op = bracket(d1, bracket(d2, d3))
     rhs1_op = bracket(bracket(d1, d2), d3)
@@ -323,8 +323,8 @@ def lie_axioms_by_samples(d1, d2, d3, samples=50, seed=0):
         tail = rhs2_op.apply(f)
         return lhs, rhs1_op.apply(f) + (-tail if sign12 else tail)
 
-    rep.first_counterexample("jacobi (%d samples)" % samples, elems, jacobi,
-                             lambda f: "jacobi at %s" % render(f))
+    rep.first_counterexample(elems, ("jacobi (%d samples)" % samples, jacobi,
+                                     lambda f: "jacobi at %s" % render(f)))
     return rep
 
 
@@ -358,9 +358,9 @@ def qk_verify_by_probes(Q, K, d, max_word=4, samples=20, seed=0):
     )
     for label, sides in relations:
         rep.first_counterexample(
-            "%s on %d probes (word length <= %d)" % (label, len(probes), max_word),
-            probes, lambda probe: sides(probe[1]),
-            lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1])))
+            probes, ("%s on %d probes (word length <= %d)" % (label, len(probes), max_word),
+                     lambda probe: sides(probe[1]),
+                     lambda probe: "%s at %s %s" % (label, probe[0], render(probe[1]))))
 
     rep.note("NOTE bracket [Q,K] %s d as a derivation"
              % ("equals" if bracket(Q, K) == d else "differs from"))

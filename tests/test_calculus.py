@@ -11,6 +11,7 @@ from monograde import (BasePoly, Derivation, DescentSequence, GeneratorSpec,
                        GradedElement, IntPower, NatPower, NotQClosed, bracket,
                        check_descent, check_exact, check_lie_axioms,
                        k_sequence, parse_element, qk_verify)
+from monograde import calculus
 from monograde.calculus import CalculusError
 from monograde.grading import KGroupElement, k_mul, k_parity
 from monograde.morphism import DomainSpec
@@ -213,10 +214,15 @@ def test_lie_axioms_decided_on_the_coordinates(monkeypatch):
     zero = GradedElement.zero(spec)
     D3 = Derivation(dom, KGroupElement(1, 1), [zero], [zero, x * th1])
     calls = count_applies(monkeypatch)
+    draws = []
+    monkeypatch.setattr(calculus, "random_element",
+                        lambda *a, **k: draws.append(a) or random_element(*a, **k))
     text = check_lie_axioms(d_th1, D3, d_x, samples=60, seed=0).text()
     # two applications per coordinate (x1, th1, th2) in each of the six
-    # brackets of antisymmetry and the six of Jacobi, and none on a sample
+    # brackets of antisymmetry and the six of Jacobi, and none on a sample,
+    # which is never drawn
     assert len(calls) == 12 * 2 * 3
+    assert draws == []
     assert text == lie_axioms_by_samples(d_th1, D3, d_x, samples=60, seed=0).text()
 
 
@@ -389,6 +395,27 @@ def test_a_length_lowering_field_is_probed():
         "FAIL Kd+dK = 0 at monomial x1*u^2: lhs=-2*u*psi rhs=0",
         "NOTE bracket [Q,K] equals d as a derivation",
         "NOTE bracket [K,d] is the zero derivation"])
+
+
+def test_qk_verify_builds_no_probe_when_every_relation_is_decided(monkeypatch, capsys):
+    # every relation of the bundled QK model is decided on the coordinates,
+    # so the runner gets no probe and none is built or drawn
+    from monograde import cli
+    from monograde.reporting import CheckReport
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a probe")
+
+    given = []
+    run = CheckReport.first_counterexample
+    monkeypatch.setattr(calculus, "random_word", refuse)
+    monkeypatch.setattr(calculus, "random_poly", refuse)
+    monkeypatch.setattr(CheckReport, "first_counterexample", lambda self, probes, *rels:
+                        given.append(probes) or run(self, probes, *rels))
+    session = str(Path(__file__).resolve().parent.parent / "sessions" / "qk_model.json")
+    assert cli.main(["qk-verify", "Q", "K", "d", "--session", session]) == 0
+    assert given == [(), (), ()]
+    assert "PASS Q^2 = 0 on 248 probes (word length <= 4)" in capsys.readouterr().out
 
 
 def test_qk_degree_precondition():

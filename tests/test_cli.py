@@ -3,6 +3,8 @@
 import json
 import re
 import shlex
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,42 @@ def test_check_monoid_counts_within_the_digit_limit(tmp_path, capsys):
                                      "check-monoid")
         assert (code, out, err) == (2, "", "error: the parity counts have more than 4300 "
                                     "digits, the limit for the report\n")
+
+
+@contextmanager
+def int_digit_limit(digits):
+    """The interpreter's limit on int-to-string conversion, set for a block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_check_monoid_follows_the_interpreter_digit_limit(tmp_path, capsys):
+    # 2^2999 has 903 digits: past a limit of 640, within none at all
+    data = {"format": 1, "grading": {"kind": "z2_power", "n": 3000}}
+    with int_digit_limit(640):
+        code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
+    assert (code, out, err) == (2, "", "error: the parity counts have more than 640 "
+                                "digits, the limit for the report\n")
+    with int_digit_limit(0):
+        code, out, err = run_session(tmp_path, capsys, data, "check-monoid")
+    count = 2 ** 2999
+    assert (code, err) == (0, "")
+    assert "even part %d, odd part %d: equal\n" % (count, count) in out
+
+
+def test_a_coefficient_too_long_to_print_is_an_input_error(capsys):
+    # 99999999999^400 has 4400 digits, ^390 has 4290
+    argv = ["--session", str(SESSIONS / "two_charts.json"), "--domain", "U"]
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "normalize", "99999999999^400", *argv)
+        assert (code, out, err) == (2, "", "error: a coefficient has more than 4300 "
+                                    "digits, the limit for printing\n")
+        code, out, err = run(capsys, "normalize", "99999999999^390*thU", *argv)
+        assert (code, out, err) == (0, "%d*thU\n" % 99999999999 ** 390, "")
 
 
 def test_integer_literal_over_the_digit_limit_is_an_input_error(tmp_path, capsys):

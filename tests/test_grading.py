@@ -135,8 +135,9 @@ def test_element_order_and_the_failed_order_formula():
 
 
 def test_element_order_matches_enumeration():
-    # the loop bound is the cardinality from parity_counts; the oracle
-    # bounds the same search by enumerating the elements
+    # a cyclic product's order comes from a formula and a table's from a
+    # loop bounded by its size; the oracle steps through the multiples,
+    # bounded by enumerating the elements
     specs = [CyclicProduct(orders) for k in (1, 2)
              for orders in product(range(1, 6), repeat=k)]
     specs += [Z2Power(n) for n in range(1, 5)] + [table1()]
@@ -153,6 +154,19 @@ def test_element_order_matches_enumeration():
                 acc = g.add(acc, i)
             assert element_order(g, i) == want, (g, i)
     assert [element_order(table1(), i) for i in range(3)] == [1, None, None]
+
+
+def test_element_order_of_a_large_cyclic_product(monkeypatch):
+    # no multiple is stepped through: an order of 10^30 comes back at once
+    def refuse(self, i, j):
+        raise AssertionError("stepped through the multiples")
+
+    monkeypatch.setattr(CyclicProduct, "add", refuse)
+    assert element_order(CyclicProduct([10 ** 30]), 1) == 10 ** 30
+    assert element_order(CyclicProduct([10 ** 30]), 4 * 10 ** 27) == 250
+    assert element_order(CyclicProduct([10 ** 30, 6]), (0, 4)) == 3
+    assert element_order(CyclicProduct([10 ** 6, 6]), (10, 4)) == 3 * 10 ** 5
+    assert element_order(Z2Power(40), (0,) * 40) == 1
 
 
 def test_element_order_does_not_enumerate(monkeypatch):

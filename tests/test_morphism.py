@@ -242,6 +242,18 @@ def test_check_homomorphism_shift():
     assert any("multiplicativity" in line for line in rep.lines)
 
 
+def test_check_homomorphism_shares_the_pullbacks_of_f_and_g(monkeypatch):
+    # the unit, then per sample f, g, f+g, f*g and h
+    spec = nilpotent_pair_spec()
+    m = shift_morphism(spec)
+    calls = []
+    pullback = Morphism.pullback
+    monkeypatch.setattr(Morphism, "pullback",
+                        lambda self, f: calls.append(f) or pullback(self, f))
+    assert check_homomorphism(m, samples=30, seed=4).passed
+    assert len(calls) == 1 + 5 * 30
+
+
 def test_check_homomorphism_reports_truncation_loss():
     # t^2 vanishes at truncation 1, but its image (u*v)^2 survives at 4:
     # the FAIL line comes from inside the sample loop, before the PASS lines

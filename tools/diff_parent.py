@@ -9,13 +9,20 @@ interpreter per side, the export first and the working tree second, and
 compares the SHA-256 digest of each run's (exit code, stdout, stderr).
 It prints every mismatch and exits 1 if there is any.
 
-The corpus has two parts:
+The corpus has three parts:
 - every command of the three benchmark workloads at seeds 0-2, from the
   unchanged `perfbench/workloads.py`;
 - every single-field mutation of the bundled sessions, with the command
   that `tests/test_cli.py` runs on each (`FUZZ_COMMANDS`) at the
   session's own `samples`, and the mutation test's ten replacement values
-  plus five that reach the numeric and string readers.
+  plus five that reach the numeric and string readers;
+- the FAIL paths of the probe runner at seeds 0-2: `qk-verify` on the
+  length-lowering QK model of `tests/test_calculus.py`, from a generated
+  session, and `check_homomorphism` on the truncation-loss morphism of
+  `tests/test_morphism.py`.  A session declares one truncation order for
+  all its domains, so `check-hom` on a session never loses a word and
+  never fails; that morphism (target truncated at 1, source at 4) runs
+  through the library, its report printed to stdout.
 
 The generated sessions are written under DIR/.bench_out/diff_parent.
 """
@@ -42,8 +49,9 @@ SEEDS = (0, 1, 2)
 # the mutation test's values, then five that reach the numeric and string readers
 VALUES = MUTATION_VALUES + (0, 3, "", "-1", "1/2")
 
-# Runs each command line of the JSON list in argv[1] through cli.main in a
-# source tree and prints the digest of each (exit code, stdout, stderr).
+# Runs each command line of the JSON list in argv[1] through cli.main, and
+# each string in it as Python code, in a source tree and prints the digest
+# of each (exit code, stdout, stderr).
 RUNNER = """
 import contextlib, hashlib, io, json, sys
 sys.path[:0] = ["src"]
@@ -51,11 +59,12 @@ import monograde.cli as cli
 with open(sys.argv[1], encoding="utf-8") as fh:
     runs = json.load(fh)
 digests = []
-for argv in runs:
+for run in runs:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            # a list is a command line, a string library code
+            code = cli.main(run) if isinstance(run, list) else exec(run, {})
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
@@ -85,6 +94,50 @@ def corpus(out: Path) -> list:
                 session.write_text(json.dumps(data), encoding="utf-8")
                 runs.append(("%s %s = %s" % (name, list(path), json.dumps(value)),
                              [*command, "--session", str(session)]))
+    runs += fail_paths(out)
+    return runs
+
+
+# The model of tests/test_calculus.py::test_a_length_lowering_field_is_probed:
+# K sends u to 1, and two relations fail at x1*u^2 at truncation 2.
+QK_LOWERING = {
+    "format": 1, "grading": {"kind": "int_power", "k": 2},
+    "options": {"truncation": 2, "seed": 0, "samples": 3},
+    "domains": {"M": {"vars": 1, "generators": [
+        {"degree": [0, 1], "name": "theta"}, {"degree": [1, 0], "name": "psi"},
+        {"degree": [-1, 1], "name": "u"}]}},
+    "derivations": {
+        "Q": {"domain": "M", "degree": [0, 1], "base_values": ["theta"],
+              "generator_values": ["0", "0", "0"]},
+        "K": {"domain": "M", "degree": {"pos": [1, 0], "neg": [0, 1]},
+              "base_values": ["0"], "generator_values": ["psi", "0", "1"]},
+        "d": {"domain": "M", "degree": [1, 0], "base_values": ["psi"],
+              "generator_values": ["0", "0", "0"]}}}
+
+# The morphism of tests/test_morphism.py::test_check_homomorphism_reports_truncation_loss:
+# t^2 vanishes at truncation 1, but its image (u*v)^2 survives at 4.
+TRUNCATION_LOSS = """
+from monograde import (DomainSpec, GeneratorSpec, GradedElement, Morphism, NatPower,
+                       check_homomorphism)
+tgt = GeneratorSpec(NatPower(1), 0, [4], truncation=1, names=["t"])
+src = GeneratorSpec(NatPower(1), 0, [2, 2], truncation=4, names=["u", "v"])
+uv = GradedElement.gen(src, 0) * GradedElement.gen(src, 1)
+m = Morphism(DomainSpec(src), DomainSpec(tgt), [], [uv])
+print(check_homomorphism(m, samples=20, seed=%d).text())
+"""
+
+
+def fail_paths(out: Path) -> list:
+    """(label, run) of the probe runner's FAIL paths at every seed."""
+    session = out / "qk_lowering.json"
+    session.write_text(json.dumps(QK_LOWERING), encoding="utf-8")
+    runs = []
+    for seed in SEEDS:
+        runs.append(("qk_lowering seed %d: qk-verify" % seed,
+                     ["qk-verify", "Q", "K", "d", "--max-word", "2", "--session",
+                      str(session), "--seed", str(seed)]))
+        runs.append(("truncation loss seed %d: check_homomorphism" % seed,
+                     TRUNCATION_LOSS % seed))
     return runs
 
 
@@ -108,7 +161,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)
     runs = corpus(out)
     runs_file = out / "runs.json"
-    runs_file.write_text(json.dumps([argv for _, argv in runs]), encoding="utf-8")
+    runs_file.write_text(json.dumps([run for _, run in runs]), encoding="utf-8")
     parent = digests(args.export.resolve(), runs_file)
     change = digests(ROOT, runs_file)
     mismatches = [label for (label, _), p, c in zip(runs, parent, change) if p != c]

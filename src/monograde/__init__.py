@@ -16,10 +16,9 @@ from .galgebra import (AlgebraError, GeneratorSpec, GradedElement,
                        NotInvertible)
 from .grading import (CyclicProduct, FiniteTable, GradingError, GradingSpec,
                       IntPower, KGroupElement, NatPower, Z2Power,
-                      all_cancellative_tables, check_cancellative,
-                      check_parity_cardinality, element_order, k_add, k_element,
-                      k_embed, k_eq, k_mul, k_normalize, k_parity,
-                      parity_functions_of_table, parity_of)
+                      all_cancellative_tables, check_parity_cardinality,
+                      element_order, k_add, k_element, k_eq, k_mul, k_normalize,
+                      k_parity, parity_functions_of_table, parity_of)
 from .morphism import (Atlas, DomainSpec, Morphism, MorphismError,
                        check_cocycle, check_homomorphism, compose,
                        continuation, split_model)
@@ -31,10 +30,10 @@ __all__ = [
     "GeneratorSpec", "GradedElement", "GradingError", "GradingSpec",
     "IntPower", "KGroupElement", "Morphism", "MorphismError", "NatPower",
     "NotInvertible", "NotQClosed", "Z2Power", "all_cancellative_tables",
-    "bracket", "check_cancellative", "check_cocycle", "check_descent",
+    "bracket", "check_cocycle", "check_descent",
     "check_exact", "check_homomorphism", "check_lie_axioms",
     "check_parity_cardinality", "compose", "continuation", "element_order",
-    "k_add", "k_element", "k_embed", "k_eq", "k_mul", "k_normalize",
+    "k_add", "k_element", "k_eq", "k_mul", "k_normalize",
     "k_parity", "k_sequence", "parity_functions_of_table", "parity_of",
     "parse_element", "parse_poly", "qk_verify", "render_element",
     "render_poly", "split_model",

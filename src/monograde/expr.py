@@ -60,14 +60,26 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>%s)|(?P<sym>[+\-*^()\[\],/]
                        % NAME_PATTERN)
 
 
+def _too_long(pos: int) -> ExprError:
+    """The error for a number at pos past the interpreter's int-from-string limit."""
+    return ExprError("a number has more than %d digits, the limit for reading"
+                     % sys.get_int_max_str_digits(), pos)
+
+
 def _tokenize(text: str):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         value = m.group(kind)
-        if kind == "bad":
-            raise ExprError("unexpected character %r" % value, m.start(kind))
-        tokens.append((kind, int(value) if kind == "num" else value, m.start(kind)))
+        pos = m.start(kind)
+        if kind == "num":
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise _too_long(pos) from exc
+        elif kind == "bad":
+            raise ExprError("unexpected character %r" % value, pos)
+        tokens.append((kind, value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -179,7 +191,10 @@ class _Parser:
             return left.times_gen(self.generator_ref(at), self.exponent())
         m = re.fullmatch(r"x(\d+)", name)
         if m:
-            mu = int(m.group(1))
+            try:
+                mu = int(m.group(1))
+            except ValueError as exc:
+                raise _too_long(at) from exc
             if not 1 <= mu <= self.spec.nvars:
                 raise ExprError("variable %s out of range 1..%d" % (name, self.spec.nvars), at)
             return left.times_variable(mu, self.exponent())

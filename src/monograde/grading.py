@@ -328,10 +328,6 @@ def parity_of(spec: GradingSpec, i) -> int:
     return spec.parity(spec.check_element(i))
 
 
-def check_cancellative(spec: GradingSpec) -> bool:
-    return spec.is_cancellative()
-
-
 def parity_counts(spec: GradingSpec) -> tuple:
     """The number of even and of odd elements of a finite monoid.
 
@@ -402,9 +398,6 @@ def k_element(spec: GradingSpec, pos, neg=None) -> KGroupElement:
     """The checked difference pos - neg; without neg, the embedding of pos."""
     return KGroupElement(spec.check_element(pos),
                          spec.zero() if neg is None else spec.check_element(neg))
-
-
-k_embed = k_element
 
 
 def k_add(spec: GradingSpec, a: KGroupElement, b: KGroupElement) -> KGroupElement:

@@ -7,6 +7,11 @@ Top-level sections: ``format`` (must be 1), ``grading``, ``options``,
 ``"3/2"``; degrees are integers or integer lists matching the grading's
 component count; derivation degrees may be a bare degree or an object
 ``{"pos": ..., "neg": ...}``.
+
+The named sections load in the order above through one table of
+(section, kind, build) rows, so an entry may refer to earlier sections.
+They share one namespace of nonempty names, each entry is an object, and
+a library error in an entry is a `SessionError` prefixed with the entry.
 """
 
 from __future__ import annotations
@@ -92,9 +97,7 @@ def _box(value, nvars):
     for pair in value:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SessionError("each interval must be a [lo, hi] pair")
-        lo, hi = pair
-        out.append((None if lo is None else _rat(lo, "bound"),
-                    None if hi is None else _rat(hi, "bound")))
+        out.append(tuple(None if b is None else _rat(b, "bound") for b in pair))
     return out
 
 
@@ -149,6 +152,10 @@ def _exprs(entry: dict, field: str, spec: GeneratorSpec, what: str) -> list:
     return [_parse(t, spec, "%s %s" % (what, field)) for t in _list(entry, field, what)]
 
 
+# the library errors that make an entry an input error, prefixed with the entry
+_ENTRY_ERRORS = (GradingError, AlgebraError, MorphismError, CalculusError)
+
+
 def load_session(source, truncation: int | None = None, seed: int | None = None,
                  samples: int | None = None) -> Session:
     """Build a session from a file path or a parsed dict.
@@ -175,98 +182,56 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise SessionError("options must be an object")
-    s.truncation = _int(opts.get("truncation", s.truncation), "truncation option")
-    s.seed = _int(opts.get("seed", s.seed), "seed option")
-    s.samples = _int(opts.get("samples", s.samples), "samples option")
-    if truncation is not None:
-        s.truncation = truncation
-    if seed is not None:
-        s.seed = seed
-    if samples is not None:
-        s.samples = samples
+    for key, override in (("truncation", truncation), ("seed", seed), ("samples", samples)):
+        value = _int(opts.get(key, getattr(s, key)), "%s option" % key)
+        setattr(s, key, value if override is None else override)
     if s.samples < 0:
         raise SessionError("samples must be nonnegative, got %d" % s.samples)
     s.grading = _grading(data.get("grading"))
 
-    seen: set = set()
-
-    def entries(section):
-        """Each (name, entry) of a section, the name new to the session's
-        one namespace and the entry an object."""
-        table = data.get(section) or {}
-        if not isinstance(table, dict):
-            raise SessionError("%s must be an object" % section)
-        for name, entry in table.items():
-            if not isinstance(name, str) or not name:
-                raise SessionError("names must be nonempty strings")
-            if name in seen:
-                raise SessionError("duplicate name %r (in %s)" % (name, section))
-            seen.add(name)
-            if not isinstance(entry, dict):
-                raise SessionError("%s: %r must be an object" % (section, name))
-            yield name, entry
-
-    def canonical(values, domain_name, what):
-        positions = s.domains[domain_name].genspec.declared
-        if len(values) != len(positions):
+    def canonical(values, spec, what):
+        if len(values) != len(spec.declared):
             raise SessionError("%s needs %d generator entries, got %d"
-                               % (what, len(positions), len(values)))
-        canon = [None] * len(positions)
-        for pos, v in zip(positions, values):
+                               % (what, len(spec.declared), len(values)))
+        canon = [None] * len(values)
+        for pos, v in zip(spec.declared, values):
             canon[pos] = v
         return canon
 
-    def morphism(entry, src, tgt, box, what):
-        """The morphism from domain src, over box, into domain tgt that the
-        entry's image lists give."""
-        spec = s.domains[src].genspec
+    def image(entry, src, tgt, box, what):
+        """The morphism from domain src over box to domain tgt that entry gives."""
+        spec, target = s.domains[src].genspec, s.domains[tgt]
         base = _exprs(entry, "base_images", spec, what)
-        gens = canonical(_exprs(entry, "generator_images", spec, what), tgt, what)
-        try:
-            return Morphism(DomainSpec(spec, box), s.domains[tgt], base, gens,
-                            samples=s.samples, seed=s.seed)
-        except (MorphismError, AlgebraError) as exc:
-            raise SessionError("%s: %s" % (what, exc)) from exc
+        gens = canonical(_exprs(entry, "generator_images", spec, what), target.genspec, what)
+        return Morphism(DomainSpec(spec, box), target, base, gens,
+                        samples=s.samples, seed=s.seed)
 
-    for name, dom in entries("domains"):
+    def domain(entry, what):
         try:
-            nvars = _int(dom.get("vars", 0), "variable count")
-            gens = _list(dom, "generators", "domain %r" % name)
+            nvars = _int(entry.get("vars", 0), "variable count")
+            gens = _list(entry, "generators", what)
             degrees = [_degree(s.grading, g["degree"]) for g in gens]
-            names = [g.get("name") for g in gens]
-            spec = GeneratorSpec(s.grading, nvars, degrees,
-                                 truncation=s.truncation, names=names)
-            s.domains[name] = DomainSpec(spec, _box(dom.get("box"), nvars))
-        except (KeyError, TypeError, GradingError, AlgebraError, MorphismError) as exc:
-            raise SessionError("domain %r: %s" % (name, exc)) from exc
+            spec = GeneratorSpec(s.grading, nvars, degrees, truncation=s.truncation,
+                                 names=[g.get("name") for g in gens])
+            return DomainSpec(spec, _box(entry.get("box"), nvars))
+        except (KeyError, TypeError) as exc:
+            raise SessionError("%s: %s" % (what, exc)) from exc
 
-    for name, entry in entries("elements"):
-        what = "element %r" % name
-        spec = s.domains[_ref(entry.get("domain"), s.domains, what)].genspec
-        s.elements[name] = _parse(entry.get("expr"), spec, what)
+    def domain_of(entry, what):
+        return s.domains[_ref(entry.get("domain"), s.domains, what)]
 
-    for name, entry in entries("morphisms"):
-        what = "morphism %r" % name
+    def morphism(entry, what):
         src, tgt = (_ref(entry.get(k), s.domains, what) for k in ("source", "target"))
-        s.morphisms[name] = morphism(entry, src, tgt, s.domains[src].box, what)
+        return image(entry, src, tgt, s.domains[src].box, what)
 
-    for name, entry in entries("derivations"):
-        what = "derivation %r" % name
-        dn = _ref(entry.get("domain"), s.domains, what)
-        spec = s.domains[dn].genspec
-        try:
-            degree = _k_degree(s.grading, entry.get("degree"))
-        except GradingError as exc:
-            raise SessionError("%s: %s" % (what, exc)) from exc
-        base = _exprs(entry, "base_values", spec, what)
-        gens = canonical(_exprs(entry, "generator_values", spec, what), dn, what)
-        try:
-            s.derivations[name] = Derivation(s.domains[dn], degree, base, gens)
-        except CalculusError as exc:
-            raise SessionError("%s: %s" % (what, exc)) from exc
+    def derivation(entry, what):
+        dom = domain_of(entry, what)
+        degree = _k_degree(s.grading, entry.get("degree"))
+        base = _exprs(entry, "base_values", dom.genspec, what)
+        gens = _exprs(entry, "generator_values", dom.genspec, what)
+        return Derivation(dom, degree, base, canonical(gens, dom.genspec, what))
 
-    for name, entry in entries("atlases"):
-        what = "atlas %r" % name
+    def atlas(entry, what):
         charts = [_ref(c, s.domains, what) for c in _list(entry, "charts", what)]
         if not charts:
             raise SessionError("%s has no charts" % what)
@@ -277,22 +242,42 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
                 raise SessionError("%s: each transition must be an object" % what)
             src, tgt = (_ref(tr.get(k), index, what + " transition")
                         for k in ("source", "target"))
+            leg = "%s transition (%s,%s)" % (what, src, tgt)
             # a transition without an overlap has an unbounded source box
-            transitions[(index[src], index[tgt])] = morphism(
-                tr, src, tgt, _box(tr.get("overlap"), s.domains[src].n),
-                "%s transition (%s,%s)" % (what, src, tgt))
-        try:
-            s.atlases[name] = Atlas([s.domains[c] for c in charts], transitions,
-                                    names=charts)
-        except MorphismError as exc:
-            raise SessionError("%s: %s" % (what, exc)) from exc
+            box = _box(tr.get("overlap"), s.domains[src].n)
+            try:
+                transitions[(index[src], index[tgt])] = image(tr, src, tgt, box, leg)
+            except _ENTRY_ERRORS as exc:
+                raise SessionError("%s: %s" % (leg, exc)) from exc
+        return Atlas([s.domains[c] for c in charts], transitions, names=charts)
 
-    for name, entry in entries("sequences"):
-        what = "sequence %r" % name
-        spec = s.domains[_ref(entry.get("domain"), s.domains, what)].genspec
-        try:
-            s.sequences[name] = DescentSequence(_exprs(entry, "entries", spec, what))
-        except CalculusError as exc:
-            raise SessionError("%s: %s" % (what, exc)) from exc
-
+    # (section, kind, build) in load order: an entry refers to earlier sections
+    sections = (
+        ("domains", "domain", domain),
+        ("elements", "element",
+         lambda entry, what: _parse(entry.get("expr"), domain_of(entry, what).genspec, what)),
+        ("morphisms", "morphism", morphism),
+        ("derivations", "derivation", derivation),
+        ("atlases", "atlas", atlas),
+        ("sequences", "sequence", lambda entry, what: DescentSequence(
+            _exprs(entry, "entries", domain_of(entry, what).genspec, what))))
+    seen: set = set()  # one namespace for all sections
+    for section, kind, build in sections:
+        table = data.get(section) or {}
+        if not isinstance(table, dict):
+            raise SessionError("%s must be an object" % section)
+        built = getattr(s, section)
+        for name, entry in table.items():
+            if not isinstance(name, str) or not name:
+                raise SessionError("names must be nonempty strings")
+            if name in seen:
+                raise SessionError("duplicate name %r (in %s)" % (name, section))
+            seen.add(name)
+            if not isinstance(entry, dict):
+                raise SessionError("%s: %r must be an object" % (section, name))
+            what = "%s %r" % (kind, name)
+            try:
+                built[name] = build(entry, what)
+            except _ENTRY_ERRORS as exc:
+                raise SessionError("%s: %s" % (what, exc)) from exc
     return s

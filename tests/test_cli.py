@@ -254,6 +254,39 @@ def test_integer_literal_over_the_digit_limit_is_an_input_error(tmp_path, capsys
     assert err.startswith("error: not valid JSON: Exceeds the limit (4300 digits)")
 
 
+LONG = "1" + "0" * 4400  # past the default limit of 4300 digits
+
+
+@pytest.mark.parametrize("expr, pos", [
+    (LONG, 0), ("thU + x" + LONG, 6), ("x1^" + LONG, 3), ("thU + 1/" + LONG, 8),
+    ("th[1," + LONG + "]", 5), ("th[" + LONG + ",1]", 3),
+], ids=["coefficient", "variable-index", "exponent", "denominator", "generator-index",
+        "degree-component"])
+@pytest.mark.parametrize("where", ["inline", "session"])
+def test_a_number_too_long_to_read_is_an_input_error(tmp_path, capsys, expr, pos, where):
+    data = json.loads((SESSIONS / "two_charts.json").read_text())
+    if where == "session":
+        data["elements"] = {"E": {"domain": "U", "expr": expr}}
+        prefix, argv = "element 'E': ", ("normalize", "E")
+    else:
+        prefix, argv = "", ("normalize", expr, "--domain", "U")
+    with int_digit_limit(4300):
+        code, out, err = run_session(tmp_path, capsys, data, *argv)
+    assert (code, out, err) == (2, "", "error: %sa number has more than 4300 digits, "
+                                "the limit for reading (at position %d)\n" % (prefix, pos))
+
+
+def test_the_number_limit_is_the_interpreter_s(capsys):
+    argv = ("normalize", "1" + "0" * 700, "--session", str(SESSIONS / "two_charts.json"),
+            "--domain", "U")
+    with int_digit_limit(640):
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: a number has more than 640 digits, "
+                                "the limit for reading (at position 0)\n")
+    with int_digit_limit(4300):
+        assert run(capsys, *argv) == (0, "1" + "0" * 700 + "\n", "")
+
+
 @pytest.mark.parametrize("parity, text", [
     ([1, 1, 0, 0], "parity of the identity must be 0"),
     ([0, 1, 0, 0], "parity is not additive at a, b"),
@@ -472,6 +505,58 @@ def test_loader_rejects_generators_over_product_free_table():
     }
     with pytest.raises(SessionError):
         load_session(data)
+
+
+def two_domains():
+    data = base_session()
+    data["domains"] = {name: {"vars": 1, "box": [[-2, 2]],
+                              "generators": [{"degree": 1, "name": gen}]}
+                       for name, gen in (("U", "s"), ("V", "t"))}
+    return data
+
+
+def u_to_v(base, gen, **fields):
+    """A transition entry from chart U to chart V with one image of each kind."""
+    return dict(fields, source="U", target="V", base_images=[base],
+                generator_images=[gen])
+
+
+@pytest.mark.parametrize("section, entries, message", [
+    ("domains", {"W": {"vars": 1, "generators": [{"degree": 0}]}},
+     "domain 'W': generators must have nonzero degree"),
+    ("domains", {"W": {"vars": 1, "generators": [{"name": "r"}]}}, "domain 'W': 'degree'"),
+    ("elements", {"f": {"domain": "U", "expr": "s +"}},
+     "element 'f': expected a value, found None (at position 3)"),
+    ("morphisms", {"m": {"source": "U", "target": "V", "base_images": ["x1", "x1"],
+                         "generator_images": ["s"]}},
+     "morphism 'm': need 1 base images, got 2"),
+    ("derivations", {"D": {"domain": "U", "degree": 1, "base_values": ["s"],
+                           "generator_values": ["x1"]}},
+     "derivation 'D': value on generator 0 has degree 0, expected derivation "
+     "degree plus coordinate degree"),
+    ("atlases", {"A": {"charts": ["U", "V"], "transitions": [
+        u_to_v("x1", "-s", overlap=[[-1, 1]])]}},
+     "atlas 'A': missing reverse transition (1,0)"),
+    ("atlases", {"A": {"charts": ["U", "V"], "transitions": [u_to_v("x1", "x1")]}},
+     "atlas 'A' transition (U,V): image of generator 0 must be homogeneous of degree 1"),
+    ("atlases", {"A": {"charts": ["U", "V"], "transitions": [u_to_v("x1 +", "s")]}},
+     "atlas 'A' transition (U,V) base_images: expected a value, found None "
+     "(at position 4)"),
+    ("sequences", {"S": {"domain": "U", "entries": []}},
+     "sequence 'S': a descent sequence needs at least one entry"),
+])
+def test_loader_error_texts(section, entries, message):
+    data = two_domains()
+    data.setdefault(section, {}).update(entries)
+    with pytest.raises(SessionError) as info:
+        load_session(data)
+    assert str(info.value) == message
+
+
+def test_a_bad_session_option_is_reported_under_an_override(tmp_path, capsys):
+    data = dict(base_session(), options={"seed": "abc"})
+    assert run_session(tmp_path, capsys, data, "check-monoid", "--seed", "3") == (
+        2, "", "error: bad seed option 'abc'\n")
 
 
 def test_loader_maps_declaration_order_to_canonical():

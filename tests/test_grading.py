@@ -6,8 +6,8 @@ from random import Random
 
 from monograde import (CyclicProduct, FiniteTable, GradingError, IntPower,
                        KGroupElement, NatPower, Z2Power,
-                       all_cancellative_tables, check_cancellative,
-                       check_parity_cardinality, element_order, k_add,
+                       all_cancellative_tables, check_parity_cardinality,
+                       element_order, k_add,
                        k_element, k_eq, k_normalize, k_parity,
                        parity_functions_of_table, parity_of)
 from monograde.grading import (EXAMPLE_TABLE3, EXAMPLE_TABLE3_NAMES,
@@ -48,11 +48,11 @@ def test_parity_nat2_is_total_weight():
 
 
 def test_cancellativity():
-    assert check_cancellative(table1()) is False
+    assert table1().is_cancellative() is False
     assert table1().cancellation_witness() is not None
-    assert check_cancellative(Z2Power(2)) is True
-    assert check_cancellative(NatPower(1)) is True
-    assert check_cancellative(IntPower(2)) is True
+    assert Z2Power(2).is_cancellative() is True
+    assert NatPower(1).is_cancellative() is True
+    assert IntPower(2).is_cancellative() is True
 
 
 def test_is_cancellative_is_the_absence_of_a_witness():

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import lcm, log10
 
 from .basecoeff import BasePoly
 from .galgebra import (NAME_PATTERN, AlgebraError, GeneratorSpec, GradedElement,
@@ -53,6 +54,12 @@ class ExprError(ValueError):
 # Every '(' and every unary '-' passes through _Parser.factor; bounding the
 # factors open at once bounds the parser's recursion.
 MAX_NESTING = 100
+
+# An exponent on a number or a parenthesised factor is refused before the
+# power is computed when the power may have more base monomials, or more
+# digits in all its coefficients, than these.
+MAX_POWER_MONOMIALS = 2000
+MAX_POWER_DIGITS = 100_000
 
 # every non-blank character starts a token; `bad` catches the ones no
 # other group reads
@@ -82,6 +89,27 @@ def _tokenize(text: str):
         tokens.append((kind, value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _check_power(coeffs, top: int, nvars: int, e: int, at: int):
+    """Refuse the e-th power of a base with rational coefficients `coeffs`
+    and top base degree `top` over nvars variables, e read at position
+    `at`, when it passes the budget.  The power has at most comb(nvars +
+    e*top, nvars) base monomials, and each of its coefficients is at most
+    height**e over a divisor of den**e."""
+    monomials = 1
+    for k in range(1, nvars + 1):  # comb(e*top + k, k), stopped past the limit
+        monomials = monomials * (e * top + k) // k
+        if monomials > MAX_POWER_MONOMIALS:
+            raise ExprError("a power may have more than %d base monomials, the limit "
+                            "for an exponent" % MAX_POWER_MONOMIALS, at)
+    den = lcm(*(c.denominator for c in coeffs))
+    height = max(int(sum(map(abs, coeffs)) * den), den)
+    # a height of 2 or more gives 0.3 digits or more per unit of e, so the
+    # cap on e keeps the float finite without changing the answer
+    if monomials * min(e, 4 * MAX_POWER_DIGITS) * log10(height) > MAX_POWER_DIGITS:
+        raise ExprError("a power may have more than %d digits, the limit for an "
+                        "exponent" % MAX_POWER_DIGITS, at)
 
 
 class _Parser:
@@ -158,17 +186,27 @@ class _Parser:
         elif self.accept("("):
             value = self.expr()
             self.expect(")")
-            if self.accept("^"):
-                value = value ** self.take("num", "exponent")[1]
+            value = value ** self.exponent(value)
         else:
             self.depth -= 1
             return self.atom_power(GradedElement.one(self.spec) if left is None else left)
         self.depth -= 1
         return value if left is None else left * value
 
-    def exponent(self) -> int:
-        """The exponent after an optional '^', 1 without one."""
-        return self.take("num", "exponent")[1] if self.accept("^") else 1
+    def exponent(self, base=None) -> int:
+        """The exponent after an optional '^', 1 without one.  A `base`, a
+        number or a parenthesised element, is checked against the budget."""
+        if not self.accept("^"):
+            return 1
+        _, e, at = self.take("num", "exponent")
+        if isinstance(base, Fraction):
+            _check_power([base], 0, 0, e, at)
+        elif base is not None:
+            polys = base.terms.values()
+            _check_power([c for p in polys for c in p.terms.values()],
+                         max((sum(x) for p in polys for x in p.terms), default=0),
+                         self.spec.nvars, e, at)
+        return e
 
     def atom_power(self, left):
         """`left` times the next plain atom (rational, variable or
@@ -182,7 +220,7 @@ class _Parser:
                 if den[1] == 0:
                     raise ExprError("zero denominator", den[2])
                 value = Fraction(tok[1], den[1])
-            return left._scale(value ** self.exponent())
+            return left._scale(value ** self.exponent(value))
         if tok[0] != "name":
             raise ExprError("expected a value, found %r" % (tok[1],), tok[2])
         self.take()

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from monograde import (BasePoly, Derivation, DescentSequence, GeneratorSpec,
                        k_sequence, parse_element, qk_verify)
 from monograde import calculus
 from monograde.calculus import CalculusError
-from monograde.grading import KGroupElement, k_mul, k_parity
+from monograde.grading import (IntPower, KGroupElement, NatPower, k_element, k_eq, k_mul,
+                               k_parity)
 from monograde.morphism import DomainSpec
 from monograde.sampling import random_element, random_homogeneous
 from monograde.session import load_session
@@ -369,6 +371,30 @@ def test_qk_relations_are_decided_on_the_coordinates(monkeypatch):
     assert len(calls) == 3 * 2 * 4
     assert text == qk_verify_by_probes(Q, K, d, max_word=4, samples=20, seed=0).text()
     assert "PASS QK+KQ = d on 68 probes (word length <= 4)" in text.splitlines()
+
+
+# the degrees qk_verify requires of Q, K and d, as (pos, neg)
+REQUIRED_DEGREES = {"Q": ((0, 1), (0, 0)), "K": ((1, 0), (0, 1)), "d": ((1, 0), (0, 0))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([NatPower(2), IntPower(2)]), st.data())
+def test_required_degrees_fix_the_sign_bits(grading, data):
+    # parity and the product are well defined on the group completion, so
+    # every representative (s + pos) - (s + neg) of the required classes
+    # gives (Q,Q), (Q,K) and (K,d) sign bit 1, and qk_verify need not test it
+    low = 0 if isinstance(grading, NatPower) else -9
+
+    def representative(name):
+        pos, neg = REQUIRED_DEGREES[name]
+        s = data.draw(st.tuples(st.integers(low, 9), st.integers(low, 9)))
+        rep = KGroupElement(grading.add(s, pos), grading.add(s, neg))
+        assert k_eq(grading, rep, k_element(grading, pos, neg))
+        calculus._require_degree(grading, SimpleNamespace(degree=rep), pos, neg, name)
+        return rep
+
+    for a, b in (("Q", "Q"), ("Q", "K"), ("K", "d")):
+        assert k_parity(grading, k_mul(grading, representative(a), representative(b))) == 1
 
 
 def test_a_length_lowering_field_is_probed():

@@ -1,15 +1,20 @@
 """Command dispatch, exit codes, session loading, report determinism."""
 
+import copy
 import json
 import re
 import shlex
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monograde import Morphism, check_cocycle, cli, parse_element, render_element
+from monograde.expr import MAX_POWER_DIGITS, MAX_POWER_MONOMIALS
 from monograde.cli import main
 from monograde.session import SessionError, load_session
 
@@ -285,6 +290,53 @@ def test_the_number_limit_is_the_interpreter_s(capsys):
                                 "the limit for reading (at position 0)\n")
     with int_digit_limit(4300):
         assert run(capsys, *argv) == (0, "1" + "0" * 700 + "\n", "")
+
+
+def three_variable_chart():
+    """two_charts.json with chart U over three base variables and no atlas."""
+    data = json.loads((SESSIONS / "two_charts.json").read_text())
+    data["domains"]["U"].update(vars=3, box=[[-2, 2]] * 3)
+    del data["atlases"]
+    return data
+
+
+DIGITS = "%d digits" % MAX_POWER_DIGITS
+MONOMIALS = "%d base monomials" % MAX_POWER_MONOMIALS
+
+
+# 9^104795 has at most 99,999.6 digits by the estimate, 9^104796 100,000.5;
+# (x1 + x2 + x3 + 1)^20 has 1771 base monomials, ^21 has 2024
+@pytest.mark.parametrize("expr, limit, pos", [
+    ("9^10000000", DIGITS, 2), ("9^104796", DIGITS, 2),
+    ("(x1 + x2 + x3 + 1)^30", MONOMIALS, 19), ("(x1 + x2 + x3 + 1)^21", MONOMIALS, 19),
+    ("(x1 + x2 + x3 + 9^1000)^16", DIGITS, 24),
+], ids=["number", "number-edge", "parenthesised", "parenthesised-edge", "both"])
+@pytest.mark.parametrize("where", ["inline", "session"])
+def test_an_exponent_past_the_budget_is_an_input_error(tmp_path, capsys, expr, limit,
+                                                       pos, where):
+    data = three_variable_chart()
+    if where == "session":
+        data["elements"] = {"E": {"domain": "U", "expr": expr}}
+        prefix, argv = "element 'E': ", ("normalize", "E")
+    else:
+        prefix, argv = "", ("normalize", expr, "--domain", "U")
+    start = time.perf_counter()
+    code, out, err = run_session(tmp_path, capsys, data, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %sa power may have more than %s, the limit "
+                                "for an exponent (at position %d)\n" % (prefix, limit, pos))
+
+
+def test_a_power_just_within_the_budget_is_computed(tmp_path, capsys):
+    data = three_variable_chart()
+    code, out, err = run_session(tmp_path, capsys, data, "normalize",
+                                 "9^104795 - 9^104795", "--domain", "U")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run_session(tmp_path, capsys, data, "normalize",
+                                 "(x1 + x2 + x3 + 1)^20", "--domain", "U")
+    assert (code, err) == (0, "")
+    assert out.startswith("x1^20 + 20*x1^19*x2 + ") and out.endswith(" + 20*x3 + 1\n")
+    assert out.count(" + ") == 1771 - 1
 
 
 @pytest.mark.parametrize("parity, text", [
@@ -723,6 +775,57 @@ def test_single_field_mutations_never_raise(tmp_path, capsys, monkeypatch, name)
                 continue
             assert code in (0, 1, 2), (path, value)
             assert (code == 2) == err.startswith("error: "), (path, value)
+
+
+# the domain `normalize` reads in each bundled session that declares one
+NORMALIZE_DOMAINS = {"geometric.json": "U", "morphisms.json": "U", "qk_model.json": "M",
+                     "two_charts.json": "U"}
+# pieces of the expression syntax, the bundled sessions' generator names among them
+EXPR_PIECES = ("0", "1", "2", "9", "99", "x1", "x2", "t", "eta", "xi", "theta", "psi",
+               "thU", "th[", "]", ",", "(", ")", "+", "-", "*", "^", "/", " ")
+
+
+def expr_texts(max_len):
+    return st.lists(st.sampled_from(EXPR_PIECES), max_size=max_len).map(
+        lambda pieces: "".join(pieces)[:max_len])
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """(session data, argv before --session, argv after it) of one run of
+    main: a bundled session with 1-3 fields replaced, under its
+    FUZZ_COMMANDS command, or `normalize` of a short inline text."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(NORMALIZE_DOMAINS)))
+        return (json.loads((SESSIONS / name).read_text()),
+                ("normalize", "--domain", NORMALIZE_DOMAINS[name]), ("--", draw(expr_texts(40))))
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    data = json.loads((SESSIONS / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(field_paths(data))
+        if paths:
+            replace_field(data, draw(st.sampled_from(paths)),
+                          draw(st.one_of(st.sampled_from(MUTATION_VALUES).map(copy.deepcopy),
+                                         expr_texts(12))))
+    return data, (*FUZZ_COMMANDS[name], "--samples", "0"), ()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_runs())
+def test_fuzzed_runs_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, fuzzed):
+    parser = cli.build_parser()  # built once: building it dominates a run
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    data, head, tail = fuzzed
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(data))
+    argv = [*head, "--session", str(path), *tail]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    code, _, err = first
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == err.startswith("error: "), argv
+    assert "Traceback" not in err
+    assert first == second, argv
 
 
 def test_nesting_beyond_the_bound_is_input_error(tmp_path, capsys):

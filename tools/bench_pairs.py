@@ -4,31 +4,40 @@
     python3 tools/bench_pairs.py --parent REV --export DIR --label NAME \\
         --seeds 70 71 ...
 
-Exports REV with `git archive` into DIR (which must not exist yet), then,
-for every seed and every workload of BENCHMARK.json, runs the unchanged
-`perfbench/run.py --trace 0` for the benchmark's `run_seconds` once in the
-export and once in the working tree, the parent first at even
-seed positions and the change first at odd ones.  After the pairs it times
+Exports REV with `git archive` into DIR/parent and the working tree's
+tracked files (HEAD with any uncommitted change, through `git stash
+create`) into DIR/change; DIR must not exist yet. Both sides thus start
+from a fresh tree with no `__pycache__`: a cache left in the working tree
+is read by one side only and once passed for a 20-30 % gain in
+`cmd_p50_ms` and `setup_s`. (A fresh PYTHONPYCACHEPREFIX would hide such a
+cache too, but under PYTHONDONTWRITEBYTECODE=1 every child then recompiles
+the standard library: frontend-mix `cmd_p50_ms` read 457 ms instead of
+about 140 ms on a 2-vCPU VM.) Then, for every seed and every workload of
+BENCHMARK.json, it runs the unchanged `perfbench/run.py --trace 0` for the
+benchmark's `run_seconds` once in each export, the parent first at even
+seed positions and the change first at odd ones. After the pairs it times
 in-process passes: per workload, INPROCESS_ROUNDS rounds, the sides
-alternating which goes first, each a fresh interpreter per side that builds
-the seed-0 workload, runs one untimed pass of its commands through
-`monograde.cli.main` and times the next (perfbench's own `in_process_pass`,
-gate included).  Session loads are timed the same way: each round loads
-every session of the seed-0 workload once untimed and once timed, which
-splits `setup_s` into its import and its load.  Then it runs `--trace 1`
-at seed 0 once per side and workload for the per-layer metrics.
+alternating which goes first, each a fresh interpreter per side that
+builds the seed-0 workload, runs one untimed pass of its commands through
+`monograde.cli.main` and times the next (perfbench's own
+`in_process_pass`, gate included). Session loads are timed the same way:
+each round loads every session of the seed-0 workload once untimed and
+once timed, which splits `setup_s` into its import and its load. Then it
+runs `--trace 1` at seed 0 once per side and workload for the per-layer
+metrics.
 
 It writes BENCH_<label>.json at the root of the working tree: the machine,
-the Python version, both shas (the working tree's HEAD with a dirty flag)
-and a digest of each side's src/, every run's result and which side ran
-first, each side's failed and attempted commands per workload, and per
-workload and end-to-end metric each side's median and quartiles, the
-change's wins, and the two rules a claim is judged by: a gain needs wins
-in nine tenths of the pairs and a median difference larger than the
-parent's quartile spread; no regression needs the change's median within
-the metric's bound from BENCHMARK.json.  A metric whose parent spread
-exceeds its bound is marked unresolved.  Each side's in-process pass and
-session-load times are recorded with their medians.
+the Python version, both shas (the working tree's HEAD with a dirty flag
+and the revision exported for it) and a digest of each side's src/, every
+run's result and which side ran first, each side's failed and attempted
+commands per workload, and per workload and end-to-end metric each side's
+median and quartiles, the change's wins, and the two rules a claim is
+judged by: a gain needs wins in nine tenths of the pairs and a median
+difference larger than the parent's quartile spread; no regression needs
+the change's median within the metric's bound from BENCHMARK.json. A
+metric whose parent spread exceeds its bound is marked unresolved. Each
+side's in-process pass and session-load times are recorded with their
+medians.
 """
 
 from __future__ import annotations
@@ -200,8 +209,10 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
-    export(args.parent, args.export)
-    trees = {"parent": args.export.resolve(), "change": ROOT}
+    trees = {side: args.export.resolve() / side for side in ("parent", "change")}
+    snapshot = git("stash", "create") or git("rev-parse", "HEAD")
+    export(args.parent, trees["parent"])
+    export(snapshot, trees["change"])
     report = {
         "label": args.label,
         "machine": machine(),
@@ -209,7 +220,7 @@ def main(argv=None) -> int:
         "parent": {"sha": git("rev-parse", args.parent), "src_digest": src_digest(trees["parent"])},
         "change": {"sha": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-                   "src_digest": src_digest(ROOT)},
+                   "exported": snapshot, "src_digest": src_digest(trees["change"])},
         "command": "perfbench/run.py --trace 0 --seconds %s" % seconds,
         "seeds": args.seeds,
         "pairs": {w: [] for w in workloads},

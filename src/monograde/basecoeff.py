@@ -152,6 +152,10 @@ class BasePoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
+    def degree(self) -> int:
+        """Largest term degree, 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
+
     def min_degree(self):
         """Smallest term degree, or None for the zero polynomial."""
         if not self.terms:
@@ -248,7 +252,7 @@ def integer_form(poly: BasePoly) -> tuple:
     """(c, d, terms) of poly, with terms listing (integer numerator,
     ((index, exponent), ...)) over the homogenized variables."""
     den = lcm(*[c.denominator for c in poly.terms.values()])
-    degree = max(map(sum, poly.terms), default=0)
+    degree = poly.degree()
     return den, degree, [
         (c.numerator * (den // c.denominator),
          tuple((i, e) for i, e in enumerate(exps + (degree - sum(exps),)) if e))

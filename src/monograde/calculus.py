@@ -23,6 +23,11 @@ from .reporting import CheckReport, render
 from .sampling import random_element, random_poly, random_word
 
 
+# The most entries a descent tower computes past its seed: the bound of an
+# open-ended tower, and the largest pmax.
+MAX_TOWER = 64
+
+
 class CalculusError(ValueError):
     """Inconsistent derivation data or mismatched domains."""
 
@@ -330,15 +335,17 @@ def k_sequence(Q: Derivation, K: Derivation, d: Derivation | None,
     """The canonical tower O(p) = K^p O(0) / p! seeded by a Q-closed O(0).
 
     With pmax omitted, entries are generated until the first zero entry,
-    which is included.
+    which is included.  Either way at most MAX_TOWER entries follow the seed.
     """
+    if pmax is not None and pmax > MAX_TOWER:
+        raise CalculusError("pmax is more than %d, the limit for a descent tower"
+                            % MAX_TOWER)
     if not O0.is_homogeneous():
         raise CalculusError("the seed must be homogeneous")
     if not Q(O0).is_zero():
         raise NotQClosed("the seed is not annihilated by Q")
     entries = [O0]
     p = 1
-    hard_cap = 64
     while True:
         if pmax is not None and p > pmax:
             break
@@ -346,7 +353,7 @@ def k_sequence(Q: Derivation, K: Derivation, d: Derivation | None,
         entries.append(nxt)
         if pmax is None and nxt.is_zero():
             break
-        if pmax is None and p >= hard_cap:
+        if pmax is None and p >= MAX_TOWER:
             raise CalculusError("sequence did not terminate; supply pmax")
         p += 1
     return DescentSequence(entries)

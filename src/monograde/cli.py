@@ -29,7 +29,7 @@ from .calculus import (CalculusError, NotQClosed, bracket, check_descent,
 from .expr import (ExprError, parse_element, render_element, render_generator,
                    render_poly)
 from .galgebra import AlgebraError, NotInvertible
-from .grading import GradingError, format_k, parity_counts
+from .grading import GradingError, format_k, format_number, parity_counts
 from .morphism import (MorphismError, RangeViolation, check_cocycle,
                        check_homomorphism, compose)
 from .reporting import CheckReport
@@ -66,11 +66,6 @@ def _image_lines(spec, base, gens) -> list:
                for pos, e in enumerate(gens)])
 
 
-def _compose(session, args, first, second):
-    m = compose(first, second)
-    return _image_lines(m.target.genspec, m.base_images, m.gen_images)
-
-
 def _bracket(session, args, first, second):
     d = bracket(first, second)
     spec = d.domain.genspec
@@ -89,11 +84,8 @@ def _check_monoid(session, args):
     lines = ["monoid kind: %s" % g.kind]
     if g.is_finite:
         even, odd = parity_counts(g)
-        # the interpreter's limit on int-to-string conversion; 0 means none
-        limit = sys.get_int_max_str_digits()
-        if limit and max(even, odd) >= 10 ** limit:
-            raise GradingError("the parity counts have more than %d digits, "
-                               "the limit for the report" % limit)
+        counts = [format_number(c, "the parity counts have more than %d digits, "
+                                "the limit for the report") for c in (even, odd)]
         witness = g.cancellation_witness()
         if witness is None:
             lines.append("cancellative: yes")
@@ -101,8 +93,8 @@ def _check_monoid(session, args):
             x, y, z = (g.format_element(e) for e in witness)
             lines.append("non-cancellative: %s+%s = %s+%s, %s != %s"
                          % (x, y, x, z, y, z))
-        lines.append("even part %d, odd part %d: %s"
-                     % (even, odd, "equal" if even == odd else "unequal"))
+        lines.append("even part %s, odd part %s: %s"
+                     % (*counts, "equal" if even == odd else "unequal"))
     else:
         lines.append("cancellative: yes (structural)")
         lines.append("infinite monoid: cardinality comparison skipped")
@@ -136,7 +128,9 @@ COMMANDS = {
             m.pullback(_element(s, a, token, m.target.genspec)))]),
     "compose": Command(
         "compose two morphisms (first, then second)",
-        (("first", "morphisms"), ("second", "morphisms")), _compose),
+        (("first", "morphisms"), ("second", "morphisms")),
+        lambda s, a, first, second: _image_lines(second.target.genspec,
+                                                 *compose(first, second).images)),
     "underlying": Command(
         "underlying base point map", (MORPHISM,),
         lambda s, a, m: ["x%d -> %s" % (mu + 1, render_poly(p))

@@ -38,9 +38,8 @@ from fractions import Fraction
 from math import lcm, log10
 
 from .basecoeff import BasePoly
-from .galgebra import (NAME_PATTERN, AlgebraError, GeneratorSpec, GradedElement,
-                       TermSum)
-from .grading import FiniteTable, GradingError, NatPower
+from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
+from .grading import GradingError, GradingSpec, NatPower, format_number
 
 
 class ExprError(ValueError):
@@ -279,18 +278,10 @@ def parse_poly(text: str, nvars: int) -> BasePoly:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _monomial_factors(exps) -> list:
-    out = []
-    for k, e in enumerate(exps):
-        if e == 1:
-            out.append("x%d" % (k + 1))
-        elif e > 1:
-            out.append("x%d^%d" % (k + 1, e))
-    return out
-
-
-def _poly_terms_desc(poly: BasePoly):
-    return sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+def _factors(tokens, exps) -> list:
+    """tokens[k], or tokens[k]^e, for each nonzero exponent e at k."""
+    return [tokens[k] if e == 1 else "%s^%s" % (tokens[k], format_number(e))
+            for k, e in enumerate(exps) if e]
 
 
 def render_poly(poly: BasePoly) -> str:
@@ -304,23 +295,9 @@ def render_generator(spec: GeneratorSpec, pos: int) -> str:
     name, or th[degree,index] with the degree written the way the parser
     reads it (a finite table's element index, not its display name)."""
     g = spec.generators[pos]
-    if g.name:
-        return g.name
-    if isinstance(spec.grading, FiniteTable):
-        degree = str(g.degree)
-    else:
-        degree = spec.grading.format_element(g.degree)
-    return "th[%s,%d]" % (degree, g.index)
-
-
-def _word_factors(spec: GeneratorSpec, beta) -> list:
-    out = []
-    for pos, e in enumerate(beta):
-        if not e:
-            continue
-        tok = render_generator(spec, pos)
-        out.append(tok if e == 1 else "%s^%d" % (tok, e))
-    return out
+    # the base class's formatter, which no kind but a finite table overrides
+    return g.name or "th[%s,%d]" % (GradingSpec.format_element(spec.grading, g.degree),
+                                    g.index)
 
 
 def _join_terms(parts) -> str:
@@ -329,11 +306,8 @@ def _join_terms(parts) -> str:
         mag = abs(coeff)
         body = list(factors)
         if mag != 1 or not body:
-            try:
-                body.insert(0, str(mag))
-            except ValueError as exc:  # the interpreter's int-to-string limit
-                raise AlgebraError("a coefficient has more than %d digits, the limit "
-                                   "for printing" % sys.get_int_max_str_digits()) from exc
+            body.insert(0, format_number(mag, "a coefficient has more than %d digits, "
+                                         "the limit for printing"))
         text = "*".join(body)
         if not pieces:
             pieces.append(text if coeff > 0 else "-" + text)
@@ -348,10 +322,13 @@ def render_element(element: GradedElement) -> str:
     spec = element.spec
     if element.is_zero():
         return "0"
+    variables = ["x%d" % (mu + 1) for mu in range(spec.nvars)]
+    generators = [render_generator(spec, pos) for pos in range(spec.ngens)]
     flat = []
     for beta, poly in sorted(element.terms.items(),
                              key=lambda kv: spec.word_key(kv[0])):
-        word = _word_factors(spec, beta)
-        for exps, coeff in _poly_terms_desc(poly):
-            flat.append((coeff, _monomial_factors(exps) + word))
+        word = _factors(generators, beta)
+        for exps, coeff in sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                                  reverse=True):
+            flat.append((coeff, _factors(variables, exps) + word))
     return _join_terms(flat)

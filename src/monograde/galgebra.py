@@ -125,6 +125,7 @@ class GeneratorSpec:
         if len(self._by_name) != sum(1 for g in canon if g.name):
             raise AlgebraError("generator names must be unique")
         self._word_cache: dict = {}
+        self._degree_cache: dict = {}
 
     @property
     def ngens(self) -> int:
@@ -142,10 +143,13 @@ class GeneratorSpec:
         return self._by_name.get(name)
 
     def word_degree(self, beta):
-        total = self.grading.zero()
-        for g, e in enumerate(beta):
-            for _ in range(e):
-                total = self.grading.add(total, self.generators[g].degree)
+        total = self._degree_cache.get(beta)
+        if total is None:
+            total = self.grading.zero()
+            for g, e in enumerate(beta):
+                for _ in range(e):
+                    total = self.grading.add(total, self.generators[g].degree)
+            self._degree_cache[beta] = total
         return total
 
     def word_key(self, beta):

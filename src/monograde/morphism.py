@@ -15,11 +15,20 @@ from random import Random
 
 from .basecoeff import BasePoly, integer_form, integer_point, integer_value
 from .galgebra import GeneratorSpec, GradedElement, TermSum
+from .grading import format_number
 from .reporting import CheckReport
-from .sampling import (grid_points, random_element, random_homogeneous,
-                       random_point_in)
+from .sampling import (grid_points, grid_size, point_bits, random_element,
+                       random_homogeneous, random_point_in)
 
 DEFAULT_RANGE_SAMPLES = 12
+
+# A range check is refused before it evaluates when one of its values may
+# have more than MAX_RANGE_BITS bits, or its work may pass MAX_RANGE_WORK
+# units of about 2.5 ns: 2048 per sample point, plus 128 and the value's
+# bits per term of a base image and per denominator.  At either limit a
+# check takes about a third of a second (2-vCPU VM, Python 3.11).
+MAX_RANGE_BITS = 1 << 18
+MAX_RANGE_WORK = 1 << 27
 
 
 class MorphismError(ValueError):
@@ -58,15 +67,6 @@ def intersect_boxes(a, b):
             return None
         out.append((lo, hi))
     return tuple(out)
-
-
-def box_within(inner, outer) -> bool:
-    for (li, hi_), (lo, ho) in zip(inner, outer):
-        if lo is not None and (li is None or li < lo):
-            return False
-        if ho is not None and (hi_ is None or hi_ > ho):
-            return False
-    return True
 
 
 class DomainSpec:
@@ -169,10 +169,11 @@ class Morphism:
     Degree constraints are enforced at construction; the requirement that
     the underlying point map send the source box into the target box is
     checked on a deterministic grid plus `samples` random points drawn
-    from `seed`, and a violation is a hard error; `restrict` and `compose`
-    reuse this sampling policy.  The images are never changed after
-    construction, so the powers that `pullback` raises them to are cached
-    on the morphism.
+    from `seed`, within the range-check budget and only when the target
+    box has a bound, and a violation is a hard error; `restrict` and
+    `compose` reuse this sampling policy.  The images are never changed
+    after construction, so the powers that `pullback` raises them to are
+    cached on the morphism.
     """
 
     def __init__(self, source: DomainSpec, target: DomainSpec, base_images,
@@ -183,12 +184,10 @@ class Morphism:
         gen_images = tuple(gen_images)
         src = source.genspec
         tgt = target.genspec
-        if len(base_images) != tgt.nvars:
-            raise MorphismError("need %d base images, got %d"
-                                % (tgt.nvars, len(base_images)))
-        if len(gen_images) != tgt.ngens:
-            raise MorphismError("need %d generator images, got %d"
-                                % (tgt.ngens, len(gen_images)))
+        for what, images, n in (("base", base_images, tgt.nvars),
+                                ("generator", gen_images, tgt.ngens)):
+            if len(images) != n:
+                raise MorphismError("need %d %s images, got %d" % (n, what, len(images)))
         if src.grading != tgt.grading:
             raise MorphismError("source and target use different gradings")
         zero_deg = src.grading.zero()
@@ -267,10 +266,32 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
         raise MorphismError("cannot compose: middle generator specs differ")
     _check_range(first, second.source.box, first.samples, first.seed,
                  "cannot compose: point %s leaves the second source box at %s")
+    # refuse the composite's range check before any pullback: its base
+    # images have at most second's degree times first's top degree
+    top = max((b.degree() for b in first.underlying_map()), default=0)
+    _check_work(first.source.box, first.samples, second.target.box,
+                [(1, top * b.degree()) for b in second.underlying_map()])
     return Morphism(first.source, second.target,
                     [first.pullback(y) for y in second.base_images],
                     [first.pullback(eta) for eta in second.gen_images],
                     first.samples, first.seed)
+
+
+def _check_work(source_box, samples: int, box, forms) -> bool:
+    """Whether a range check into box, at the sample points of source_box,
+    has work to do: none when box has no bound.  Refuses one past the
+    budget for base images of (term count, degree) `forms`."""
+    if all(bound == (None, None) for bound in box):
+        return False
+    bits = point_bits(source_box)
+    if max((d for _, d in forms), default=0) * bits > MAX_RANGE_BITS:
+        raise MorphismError("a range check may compute a number of more than %d bits, "
+                            "the limit for a range check" % MAX_RANGE_BITS)
+    if (grid_size(source_box) + samples) * (2048 + sum(
+            (t + 1) * (128 + d * bits) for t, d in forms)) > MAX_RANGE_WORK:
+        raise MorphismError("a range check may take more than %d units of work, the "
+                            "limit for a range check" % MAX_RANGE_WORK)
+    return True
 
 
 def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
@@ -279,7 +300,11 @@ def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
     formats the first failure.  Evaluation is exact in integers: each body's
     value is one integer over a positive denominator, compared with each
     bound by cross-multiplication, and Fractions only format a failure."""
-    forms = [integer_form(b) for b in m.underlying_map()]
+    bodies = m.underlying_map()
+    if not _check_work(m.source.box, samples, box,
+                       [(len(b.terms), b.degree()) for b in bodies]):
+        return
+    forms = [integer_form(b) for b in bodies]
     bounds = [tuple(None if b is None else (b.numerator, b.denominator) for b in pair)
               for pair in box]
     for p in m.source.sample_points(samples, seed):
@@ -287,8 +312,9 @@ def _check_range(m: Morphism, box, samples: int, seed: int, message: str):
         for (num, den), (lo, hi) in zip(q, bounds):
             if ((lo is not None and num * lo[1] < lo[0] * den)
                     or (hi is not None and num * hi[1] > hi[0] * den)):
-                raise RangeViolation(message % ([str(Fraction(n, p[-1])) for n in p[:-1]],
-                                                [str(Fraction(*v)) for v in q]))
+                raise RangeViolation(message % (
+                    [format_number(Fraction(n, p[-1])) for n in p[:-1]],
+                    [format_number(Fraction(*v)) for v in q]))
 
 
 def check_homomorphism(m: Morphism, samples: int = 100, seed: int = 0) -> CheckReport:
@@ -337,7 +363,8 @@ class Atlas:
                 raise MorphismError("transition (%d,%d) references a missing chart" % (a, b))
             if t.source.genspec != self.charts[a].genspec:
                 raise MorphismError("transition (%d,%d) source spec mismatch" % (a, b))
-            if not box_within(t.source.box, self.charts[a].box):
+            # the overlap lies within the chart when the chart cuts nothing off
+            if intersect_boxes(t.source.box, self.charts[a].box) != t.source.box:
                 raise MorphismError("overlap of (%d,%d) leaves chart %d" % (a, b, a))
             if t.target != self.charts[b]:
                 raise MorphismError("transition (%d,%d) must land in chart %d" % (a, b, b))
@@ -361,7 +388,7 @@ def check_cocycle(atlas: Atlas) -> CheckReport:
             if box is not None:
                 first = first.restrict(box)
             comp = compose(first, second)
-        except MorphismError as exc:
+        except RangeViolation as exc:
             rep.fail(locator, str(exc), "composable")
             return
         if comp.images == expected:

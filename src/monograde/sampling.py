@@ -8,6 +8,7 @@ report byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, lcm, prod
 from random import Random
 
 from .basecoeff import BasePoly
@@ -100,3 +101,29 @@ def grid_points(box):
     for axis in axes:
         points = [p + [c] for p in points for c in axis]
     return points
+
+
+def grid_size(box) -> int:
+    """The number of points of `grid_points(box)`."""
+    return prod(1 if lo is not None and lo == hi else 3 for lo, hi in box)
+
+
+def point_bits(box, density: int = 8) -> int:
+    """A bound on the bit length of each integer of the points of
+    `grid_points(box)` and `random_point_in(rng, box, density)` in
+    `integer_point` form.  Every denominator on an axis divides that axis's
+    entry of `dens`, so a point's common denominator divides their lcm, and
+    every coordinate is at most `top` in size."""
+    dens, top = [], 1
+    for lo, hi in box:
+        if lo is None and hi is None:
+            dens.append(6)  # a draw's denominator is 1, 2 or 3
+            top = max(top, density)
+        elif lo is None or hi is None:
+            b = hi if lo is None else lo
+            dens.append(b.denominator * density)
+            top = max(top, abs(b) + 3)
+        else:
+            dens.append(2 * lo.denominator * hi.denominator * density)
+            top = max(top, abs(lo), abs(hi))
+    return (ceil(top) * lcm(*dens)).bit_length()

@@ -200,7 +200,7 @@ def test_check_monoid_finite_cancellative(tmp_path, capsys, grading, counts):
 
 def test_check_monoid_counts_within_the_digit_limit(tmp_path, capsys):
     # 2^14284 has 4300 digits, 2^14285 has 4301; the second is refused
-    # before the report is built, not by Python's int-to-str limit
+    # when the report prints it, by Python's int-to-str limit
     code, out, err = run_session(tmp_path, capsys, {"format": 1, "grading": {
         "kind": "z2_power", "n": 14285}}, "check-monoid")
     count = str(2 ** 14284)
@@ -337,6 +337,108 @@ def test_a_power_just_within_the_budget_is_computed(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.startswith("x1^20 + 20*x1^19*x2 + ") and out.endswith(" + 20*x3 + 1\n")
     assert out.count(" + ") == 1771 - 1
+
+
+N = "9" * 4300  # the most digits the interpreter prints by default
+HALF = 5 * 10 ** 4299  # HALF - 1 + HALF = 10^4300 - 1 is N
+PRINTING = "a number has more than 4300 digits, the limit for printing"
+RANGE_BITS = "a range check may compute a number of more than 262144 bits, " \
+    "the limit for a range check"
+RANGE_WORK = "a range check may take more than 134217728 units of work, " \
+    "the limit for a range check"
+
+
+def unit_box_session(images, nvars=1, samples=0):
+    """A session with a morphism `m` of domain U, over nvars variables in
+    the box [-1, 1] on each axis, to itself, with base images `images`."""
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "options": {"samples": samples},
+            "domains": {"U": {"vars": nvars, "box": [[-1, 1]] * nvars}},
+            "morphisms": {"m": {"source": "U", "target": "U", "base_images": images}}}
+
+
+def one_derivation_session(gen_degree, degree, base_value):
+    """A nat_power session with one generator `t` and one derivation `D`."""
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "domains": {"U": {"vars": 1, "generators": [{"degree": gen_degree, "name": "t"}]}},
+            "derivations": {"D": {"domain": "U", "degree": degree,
+                                  "base_values": [base_value], "generator_values": ["0"]}}}
+
+
+def shift_image_session(image):
+    data = json.loads((SESSIONS / "morphisms.json").read_text())
+    data["morphisms"]["shift"]["base_images"] = [image]
+    return data
+
+
+def into_box_session(image):
+    """A morphism `m` from U, over [-2, 2], to B, over [0, 1]."""
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "domains": {"U": {"vars": 1, "box": [[-2, 2]]}, "B": {"vars": 1, "box": [[0, 1]]}},
+            "morphisms": {"m": {"source": "U", "target": "B", "base_images": [image]}}}
+
+
+def steep_atlas_session():
+    """An atlas whose pair (U,V) leaves the second source box at x1 = 1/2,
+    where the first leg's image 1/2^20000 is too long to print."""
+    leg = {"source": "U", "target": "V", "overlap": [["1/2", 1]], "base_images": ["x1^20000"]}
+    back = {"source": "V", "target": "U", "overlap": [["1/4", 1]], "base_images": ["x1"]}
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+            "domains": {c: {"vars": 1, "box": [[0, 1]]} for c in "UV"},
+            "atlases": {"a": {"charts": ["U", "V"], "transitions": [leg, back]}}}
+
+
+TWO_CHARTS = json.loads((SESSIONS / "two_charts.json").read_text())
+QK_MODEL = json.loads((SESSIONS / "qk_model.json").read_text())
+IDENTITY = ["x%d" % (mu + 1) for mu in range(10)]
+
+
+# (session data, argv, error text) of runs past a limit: a number too long
+# to print, a range check past its budget, a descent tower past its bound
+@pytest.mark.parametrize("data, argv, message", [
+    (TWO_CHARTS, ("normalize", "x1^%s*x1^%s" % (N, N), "--domain", "U"), PRINTING),
+    (shift_image_session("x1^" + N), ("pullback", "shift", "f"), PRINTING),
+    (one_derivation_session(1, int(N), "0"), ("bracket", "D", "D"), PRINTING),
+    (one_derivation_session(int(N[:-1] + "8"), 0, "t^2"), ("check-monoid",),
+     "derivation 'D': " + PRINTING),
+    (into_box_session("x1^20000"), ("check-monoid",), "morphism 'm': " + PRINTING),
+    (steep_atlas_session(), ("verify-atlas", "a"), PRINTING),
+    (unit_box_session(["x1^52429"]), ("check-monoid",), "morphism 'm': " + RANGE_BITS),
+    (unit_box_session(IDENTITY, nvars=10), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
+    (unit_box_session(["x1"], samples=58000), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
+    (unit_box_session(["x1^229"]), ("compose", "m", "m"), RANGE_BITS),
+    (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "65"),
+     "pmax is more than 64, the limit for a descent tower"),
+    (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "100000000"),
+     "pmax is more than 64, the limit for a descent tower"),
+], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
+        "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
+        "range-samples", "composite-degree", "pmax", "pmax-huge"])
+def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
+    start = time.perf_counter()
+    with int_digit_limit(4300):
+        code, out, err = run_session(tmp_path, capsys, data, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+# runs just within each of those limits
+@pytest.mark.parametrize("data, argv, first_line", [
+    (TWO_CHARTS, ("normalize", "x1^%d*x1^%d" % (HALF - 1, HALF), "--domain", "U"),
+     "x1^" + N),
+    (one_derivation_session(1, HALF - 1, "0"), ("bracket", "D", "D"),
+     "degree: %d" % (2 * HALF - 2)),
+    (unit_box_session(["x1^52428"]), ("underlying", "m"), "x1 -> x1^52428"),
+    (unit_box_session(IDENTITY[:9], nvars=9), ("underlying", "m"), "x1 -> x1"),
+    (unit_box_session(["x1"], samples=57000), ("underlying", "m"), "x1 -> x1"),
+    (unit_box_session(["x1^228"]), ("compose", "m", "m"), "x1 -> x1^51984"),
+    (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "64"), "O(0) = theta"),
+], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",
+        "composite-degree", "pmax"])
+def test_a_run_just_within_a_limit_succeeds(tmp_path, capsys, data, argv, first_line):
+    with int_digit_limit(4300):
+        code, out, err = run_session(tmp_path, capsys, data, *argv)
+    assert (code, out.splitlines()[0], err) == (0, first_line, "")
 
 
 @pytest.mark.parametrize("parity, text", [
@@ -826,6 +928,59 @@ def test_fuzzed_runs_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, 
     assert (code == 2) == err.startswith("error: "), argv
     assert "Traceback" not in err
     assert first == second, argv
+
+
+def digit_strings():
+    """Numerals of 1 to 4300 digits, the interpreter's default limit."""
+    return st.one_of(st.sampled_from(["0", "1", "2", "3"]),
+                     st.builds(lambda n, d: d * n, st.integers(1, 4300),
+                               st.sampled_from("123456789")))
+
+
+def grammar_atoms():
+    """An atom of the expression grammar, with a numeral in each numeric
+    position, and an optional exponent.  Numbers and names come up more
+    often than the atoms that are mostly input errors, so that many texts
+    reach the printer."""
+    names = st.sampled_from(["x1", "t", "eta", "xi", "theta", "psi", "thU"])
+    atom = st.one_of(
+        digit_strings(), digit_strings(), digit_strings(), names, names,
+        st.builds("%s/%s".__mod__, st.tuples(digit_strings(), digit_strings())),
+        st.builds("x%s".__mod__, digit_strings()),
+        st.builds("th[%s%s,%s]".__mod__, st.tuples(st.sampled_from(["", "-"]), digit_strings(),
+                                                   digit_strings())),
+        st.builds("th[(%s,%s),%s]".__mod__, st.tuples(digit_strings(), digit_strings(),
+                                                      digit_strings())))
+    return st.builds(lambda a, e: a if e is None else "%s^%s" % (a, e),
+                     atom, st.none() | st.sampled_from(["2", "3"]) | digit_strings())
+
+
+def grammar_texts():
+    """Expressions of nested sums, products, negations and powers of
+    parenthesised factors over `grammar_atoms`."""
+    return st.recursive(grammar_atoms(), lambda inner: st.one_of(
+        st.builds("(%s)^%s".__mod__, st.tuples(inner, digit_strings())),
+        st.builds("%s*%s".__mod__, st.tuples(inner, inner)),
+        st.builds("%s %s %s".__mod__, st.tuples(inner, st.sampled_from("+-"), inner)),
+        st.builds("-(%s)".__mod__, inner)), max_leaves=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(st.sampled_from(sorted(NORMALIZE_DOMAINS)), grammar_texts())
+def test_normalize_of_long_numbers_keeps_the_exit_code_contract(capsys, monkeypatch,
+                                                                name, text):
+    parser = cli.build_parser()  # built once: building it dominates a run
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    start = time.perf_counter()
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "normalize", "--domain", NORMALIZE_DOMAINS[name],
+                             "--session", str(SESSIONS / name), "--", text)
+    assert time.perf_counter() - start < 1, text[:200]
+    assert code in (0, 2), text[:200]
+    assert (code == 2) == (err.startswith("error: ") and err.count("\n") == 1), text[:200]
+    assert (code == 0) == (out.count("\n") == 1 and not err), text[:200]
 
 
 def test_nesting_beyond_the_bound_is_input_error(tmp_path, capsys):

@@ -66,6 +66,11 @@ def _image_lines(spec, base, gens) -> list:
                for pos, e in enumerate(gens)])
 
 
+def _compose(session, args, first, second):
+    m = compose(first, second)
+    return _image_lines(m.target.genspec, m.base_images, m.gen_images)
+
+
 def _bracket(session, args, first, second):
     d = bracket(first, second)
     spec = d.domain.genspec
@@ -128,9 +133,7 @@ COMMANDS = {
             m.pullback(_element(s, a, token, m.target.genspec)))]),
     "compose": Command(
         "compose two morphisms (first, then second)",
-        (("first", "morphisms"), ("second", "morphisms")),
-        lambda s, a, first, second: _image_lines(second.target.genspec,
-                                                 *compose(first, second).images)),
+        (("first", "morphisms"), ("second", "morphisms")), _compose),
     "underlying": Command(
         "underlying base point map", (MORPHISM,),
         lambda s, a, m: ["x%d -> %s" % (mu + 1, render_poly(p))

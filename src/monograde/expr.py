@@ -39,7 +39,7 @@ from math import lcm, log10
 
 from .basecoeff import BasePoly
 from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
-from .grading import GradingError, GradingSpec, NatPower, format_number
+from .grading import FiniteTable, GradingError, NatPower, format_number
 
 
 class ExprError(ValueError):
@@ -295,9 +295,13 @@ def render_generator(spec: GeneratorSpec, pos: int) -> str:
     name, or th[degree,index] with the degree written the way the parser
     reads it (a finite table's element index, not its display name)."""
     g = spec.generators[pos]
-    # the base class's formatter, which no kind but a finite table overrides
-    return g.name or "th[%s,%d]" % (GradingSpec.format_element(spec.grading, g.degree),
-                                    g.index)
+    if g.name:
+        return g.name
+    if isinstance(spec.grading, FiniteTable):
+        degree = format_number(g.degree)
+    else:
+        degree = spec.grading.format_element(g.degree)
+    return "th[%s,%d]" % (degree, g.index)
 
 
 def _join_terms(parts) -> str:

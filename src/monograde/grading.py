@@ -9,7 +9,7 @@ represented by formal differences (`KGroupElement`).
 from __future__ import annotations
 
 import sys
-from itertools import combinations, product as _cartesian
+from itertools import product as _cartesian
 from math import gcd, lcm, prod
 
 
@@ -241,12 +241,16 @@ class FiniteTable(GradingSpec):
         for j in rng:
             if table[0][j] != j or table[j][0] != j:
                 raise GradingError("0 must be the identity")
-        for i, j in _cartesian(rng, rng):
-            if table[i][j] != table[j][i]:
-                raise GradingError("table is not commutative at (%d,%d)" % (i, j))
-        for a, b, c in _cartesian(rng, rng, rng):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise GradingError("table is not associative at (%d,%d,%d)" % (a, b, c))
+        for i in rng:
+            for j in rng:
+                if table[i][j] != table[j][i]:
+                    raise GradingError("table is not commutative at (%d,%d)" % (i, j))
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    if table[table[a][b]][c] != table[a][table[b][c]]:
+                        raise GradingError(
+                            "table is not associative at (%d,%d,%d)" % (a, b, c))
         try:
             parity = tuple(int(b) for b in parity)
         except (TypeError, ValueError) as exc:
@@ -261,23 +265,28 @@ class FiniteTable(GradingSpec):
             raise GradingError("need one name per element")
         if parity[0] != 0:
             raise GradingError("parity of the identity must be 0")
-        for i, j in _cartesian(rng, rng):
-            if parity[table[i][j]] != (parity[i] + parity[j]) % 2:
-                raise GradingError("parity is not additive at %s, %s"
-                                   % (self.names[i], self.names[j]))
+        for i in rng:
+            for j in rng:
+                if parity[table[i][j]] != (parity[i] + parity[j]) % 2:
+                    raise GradingError("parity is not additive at %s, %s"
+                                       % (self.names[i], self.names[j]))
         self.mul_table = None
         if mul_table is not None:
             mul_table = tuple(tuple(row) for row in mul_table)
             if len(mul_table) != n or any(len(row) != n for row in mul_table):
                 raise GradingError("product table must match size")
-            for i, j in _cartesian(rng, rng):
-                if mul_table[i][j] not in rng:
-                    raise GradingError("product entries must be element indices")
-                if mul_table[i][j] != mul_table[j][i]:
-                    raise GradingError("product is not commutative")
-            for a, b, c in _cartesian(rng, rng, rng):
-                if mul_table[a][table[b][c]] != table[mul_table[a][b]][mul_table[a][c]]:
-                    raise GradingError("product does not distribute at (%d,%d,%d)" % (a, b, c))
+            for i in rng:
+                for j in rng:
+                    if mul_table[i][j] not in rng:
+                        raise GradingError("product entries must be element indices")
+                    if mul_table[i][j] != mul_table[j][i]:
+                        raise GradingError("product is not commutative")
+            for a in rng:
+                for b in rng:
+                    for c in rng:
+                        if mul_table[a][table[b][c]] != table[mul_table[a][b]][mul_table[a][c]]:
+                            raise GradingError(
+                                "product does not distribute at (%d,%d,%d)" % (a, b, c))
             self.mul_table = mul_table
             self.has_mul = True
 
@@ -307,9 +316,13 @@ class FiniteTable(GradingSpec):
         return range(self.size)
 
     def cancellation_witness(self):
-        return next(((x, y, z) for x in range(self.size)
-                     for y, z in combinations(range(self.size), 2)
-                     if self.table[x][y] == self.table[x][z]), None)
+        for x in range(self.size):
+            row = self.table[x]
+            for y in range(self.size):
+                for z in range(y + 1, self.size):
+                    if row[y] == row[z]:
+                        return (x, y, z)
+        return None
 
     def format_element(self, i) -> str:
         return self.names[i]
@@ -514,9 +527,14 @@ def all_cancellative_tables(n: int):
 def parity_functions_of_table(table):
     """All nontrivial parity assignments for an addition table, by brute force."""
     n = len(table)
-    return [p for p in ((0,) + bits for bits in _cartesian((0, 1), repeat=n - 1))
-            if any(p) and all(p[table[i][j]] == (p[i] + p[j]) % 2
-                              for i in range(n) for j in range(i, n))]
+    found = []
+    for bits in _cartesian((0, 1), repeat=n - 1):
+        p = (0,) + bits
+        if all(p[table[i][j]] == (p[i] + p[j]) % 2
+               for i in range(n) for j in range(i, n)):
+            if any(p):
+                found.append(p)
+    return found
 
 
 # The non-cancellative order-3 monoid used throughout the tests: 0 is the

@@ -14,6 +14,10 @@ from random import Random
 from .basecoeff import BasePoly
 from .galgebra import GeneratorSpec, GradedElement
 
+# A random point's coordinate on an axis with a bound is a multiple of
+# 1/DRAW_DENSITY of a unit, or of the axis's width, from that bound.
+DRAW_DENSITY = 8
+
 
 def random_rational(rng: Random, span: int = 4, max_den: int = 3) -> Fraction:
     num = rng.randint(-span, span)
@@ -61,9 +65,10 @@ def random_homogeneous(rng: Random, spec: GeneratorSpec, max_terms: int = 2,
     return _random_terms(rng, spec, pool, max_terms, max_degree)
 
 
-def random_point_in(rng: Random, box, density: int = 8):
+def random_point_in(rng: Random, box):
     """A rational point inside an axis-aligned box of Fraction bounds, None
     bounds open, as one (numerator, positive denominator) pair per axis."""
+    density = DRAW_DENSITY
     point = []
     for lo, hi in box:
         if lo is None and hi is None:
@@ -108,9 +113,9 @@ def grid_size(box) -> int:
     return prod(1 if lo is not None and lo == hi else 3 for lo, hi in box)
 
 
-def point_bits(box, density: int = 8) -> int:
+def point_bits(box) -> int:
     """A bound on the bit length of each integer of the points of
-    `grid_points(box)` and `random_point_in(rng, box, density)` in
+    `grid_points(box)` and `random_point_in(rng, box)` in
     `integer_point` form.  Every denominator on an axis divides that axis's
     entry of `dens`, so a point's common denominator divides their lcm, and
     every coordinate is at most `top` in size."""
@@ -118,12 +123,12 @@ def point_bits(box, density: int = 8) -> int:
     for lo, hi in box:
         if lo is None and hi is None:
             dens.append(6)  # a draw's denominator is 1, 2 or 3
-            top = max(top, density)
+            top = max(top, DRAW_DENSITY)
         elif lo is None or hi is None:
             b = hi if lo is None else lo
-            dens.append(b.denominator * density)
+            dens.append(b.denominator * DRAW_DENSITY)
             top = max(top, abs(b) + 3)
         else:
-            dens.append(2 * lo.denominator * hi.denominator * density)
+            dens.append(2 * lo.denominator * hi.denominator * DRAW_DENSITY)
             top = max(top, abs(lo), abs(hi))
     return (ceil(top) * lcm(*dens)).bit_length()

@@ -344,7 +344,7 @@ HALF = 5 * 10 ** 4299  # HALF - 1 + HALF = 10^4300 - 1 is N
 PRINTING = "a number has more than 4300 digits, the limit for printing"
 RANGE_BITS = "a range check may compute a number of more than 262144 bits, " \
     "the limit for a range check"
-RANGE_WORK = "a range check may take more than 134217728 units of work, " \
+RANGE_WORK = "a range check may take more than 536870912 units of work, " \
     "the limit for a range check"
 
 
@@ -390,7 +390,7 @@ def steep_atlas_session():
 
 TWO_CHARTS = json.loads((SESSIONS / "two_charts.json").read_text())
 QK_MODEL = json.loads((SESSIONS / "qk_model.json").read_text())
-IDENTITY = ["x%d" % (mu + 1) for mu in range(10)]
+IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
 
 
 # (session data, argv, error text) of runs past a limit: a number too long
@@ -404,8 +404,8 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(10)]
     (into_box_session("x1^20000"), ("check-monoid",), "morphism 'm': " + PRINTING),
     (steep_atlas_session(), ("verify-atlas", "a"), PRINTING),
     (unit_box_session(["x1^52429"]), ("check-monoid",), "morphism 'm': " + RANGE_BITS),
-    (unit_box_session(IDENTITY, nvars=10), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
-    (unit_box_session(["x1"], samples=58000), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
+    (unit_box_session(IDENTITY, nvars=11), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
+    (unit_box_session(["x1"], samples=232007), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
     (unit_box_session(["x1^229"]), ("compose", "m", "m"), RANGE_BITS),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "65"),
      "pmax is more than 64, the limit for a descent tower"),
@@ -429,8 +429,8 @@ def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, mess
     (one_derivation_session(1, HALF - 1, "0"), ("bracket", "D", "D"),
      "degree: %d" % (2 * HALF - 2)),
     (unit_box_session(["x1^52428"]), ("underlying", "m"), "x1 -> x1^52428"),
-    (unit_box_session(IDENTITY[:9], nvars=9), ("underlying", "m"), "x1 -> x1"),
-    (unit_box_session(["x1"], samples=57000), ("underlying", "m"), "x1 -> x1"),
+    (unit_box_session(IDENTITY[:10], nvars=10), ("underlying", "m"), "x1 -> x1"),
+    (unit_box_session(["x1"], samples=232006), ("underlying", "m"), "x1 -> x1"),
     (unit_box_session(["x1^228"]), ("compose", "m", "m"), "x1 -> x1^51984"),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "64"), "O(0) = theta"),
 ], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",

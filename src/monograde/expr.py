@@ -13,16 +13,16 @@ an integer or a tuple literal like (1,0), and NAME is a declared generator
 name.  Parentheses and unary minus nest at most MAX_NESTING deep.
 
 One evaluator reads this grammar straight into the algebra of a
-`GeneratorSpec`; `parse_poly` is its generator-free case, the body of an
-element over a spec with no generators.  Its atom reader takes each plain
-atom (rational, variable or generator) once, with its exponent, and
-multiplies it into the running product of its term in one pass over that
-product's terms (`GradedElement._scale`, `times_variable`, `times_gen`);
-negated and parenthesised factors take the general product.  Factors
-multiply left to right with the `truncated` flag of repeated `*`: a word
-longer than the truncation order, or an even generator power longer on
-its own, leaves a flagged zero even if a later factor is 0, while a
-repeated odd generator gives an unflagged zero.
+`GeneratorSpec`; `parse_poly` is its generator-free case.  Its lexer
+reads a plain atom (rational, variable, generator or name) with its ^NAT
+as one token, in one `findall` that keeps no positions; a text that fails
+is read again one symbol per token, so an error names that symbol's
+position.  A term's atom powers fold into one monomial (`_Run`), applied
+in one pass to the words of the term's parenthesised factor, if any: a
+monomial is injective on words and exponents.  The `truncated` flag is
+that of left-to-right `*`: a word longer than the truncation order, or an
+even generator power longer on its own, leaves a flagged zero even if a
+later factor is 0, while a repeated odd generator gives an unflagged zero.
 
 Rendering emits terms sorted by generator word (short words first), then
 by base monomial in descending graded-lexicographic order; this is the only
@@ -35,9 +35,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm, log10
+from math import comb, lcm, log10
 
-from .basecoeff import BasePoly
+from .basecoeff import BasePoly, add_product, add_terms
 from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
 from .grading import FiniteTable, GradingError, NatPower, format_number
 
@@ -50,204 +50,308 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-# Every '(' and every unary '-' passes through _Parser.factor; bounding the
-# factors open at once bounds the parser's recursion.
+# Every '(' and every unary '-' opens a factor in _Parser.term; bounding
+# the factors open at once bounds the parser's recursion.
 MAX_NESTING = 100
 
 # An exponent on a number or a parenthesised factor is refused before the
-# power is computed when the power may have more base monomials, or more
-# digits in all its coefficients, than these.
+# power is computed when the power may have more base monomials, terms
+# (words times base monomials) or digits in all its coefficients than these.
 MAX_POWER_MONOMIALS = 2000
 MAX_POWER_DIGITS = 100_000
 
-# every non-blank character starts a token; `bad` catches the ones no
-# other group reads
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>%s)|(?P<sym>[+\-*^()\[\],/])|(?P<bad>\S))"
-                       % NAME_PATTERN)
+# One pattern for both token sizes.  With {0} empty, a plain atom power is
+# one token; with {0} a guard that never matches, every symbol is its own
+# token.  Every non-blank character starts a token; `bad` catches the ones
+# no other group reads.  A token is the tuple of the groups in this order,
+# '' for each one that did not match: num, den, var, deg, idx, name, exp,
+# sym, bad.
+_TOKEN = (r"\s*(?:(?:(?P<num>\d+)(?:{0}\s*/\s*(?P<den>\d+))?"
+          r"|{0}x(?P<var>[0-9]+)(?![A-Za-z0-9_])"
+          r"|{0}th\s*\[\s*(?P<deg>-?\s*\d+|\(\s*-?\s*\d+(?:\s*,\s*-?\s*\d+)*\s*\))"
+          r"\s*,\s*(?P<idx>\d+)\s*\]|(?P<name>%s))(?:{0}\s*\^\s*(?P<exp>\d+))?"
+          r"|(?P<sym>[+\-*^()\[\],/])|(?P<bad>\S))" % NAME_PATTERN)
+_ATOMS = re.compile(_TOKEN.format(""))
+_SYMBOLS = re.compile(_TOKEN.format("(?!)"))
+_END = ("",) * 9  # no group matched
 
 
-def _too_long(pos: int) -> ExprError:
-    """The error for a number at pos past the interpreter's int-from-string limit."""
-    return ExprError("a number has more than %d digits, the limit for reading"
-                     % sys.get_int_max_str_digits(), pos)
+def _too_long() -> str:
+    """The error text for a number past the interpreter's int-from-string limit."""
+    return "a number has more than %d digits, the limit for reading" % sys.get_int_max_str_digits()
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group(kind)
-        pos = m.start(kind)
-        if kind == "num":
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise _too_long(pos) from exc
-        elif kind == "bad":
-            raise ExprError("unexpected character %r" % value, pos)
-        tokens.append((kind, value, pos))
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _value(tok):
+    """What a one-symbol token reads: a number, a name, a symbol, or None at the end."""
+    return int(tok[0]) if tok[0] else tok[5] or tok[7] or None
 
 
-def _check_power(coeffs, top: int, nvars: int, e: int, at: int):
-    """Refuse the e-th power of a base with rational coefficients `coeffs`
-    and top base degree `top` over nvars variables, e read at position
-    `at`, when it passes the budget.  The power has at most comb(nvars +
-    e*top, nvars) base monomials, and each of its coefficients is at most
-    height**e over a divisor of den**e."""
-    monomials = 1
-    for k in range(1, nvars + 1):  # comb(e*top + k, k), stopped past the limit
-        monomials = monomials * (e * top + k) // k
-        if monomials > MAX_POWER_MONOMIALS:
-            raise ExprError("a power may have more than %d base monomials, the limit "
-                            "for an exponent" % MAX_POWER_MONOMIALS, at)
-    den = lcm(*(c.denominator for c in coeffs))
-    height = max(int(sum(map(abs, coeffs)) * den), den)
-    # a height of 2 or more gives 0.3 digits or more per unit of e, so the
-    # cap on e keeps the float finite without changing the answer
-    if monomials * min(e, 4 * MAX_POWER_DIGITS) * log10(height) > MAX_POWER_DIGITS:
-        raise ExprError("a power may have more than %d digits, the limit for an "
-                        "exponent" % MAX_POWER_DIGITS, at)
+class _Run:
+    """A term's atom powers: the rational num/den, the base exponent
+    shift, and the generator powers (pos, e) in order up to the first
+    factor that makes every term zero (`killed`); `flagged` once an even
+    power passes the truncation order."""
+
+    __slots__ = ("num", "den", "shift", "steps", "killed", "flagged")
+
+    def __init__(self):
+        self.num = self.den = 1
+        self.shift, self.steps, self.killed, self.flagged = None, [], False, False
+
+    def add_to(self, total: TermSum, value, negate: bool = False) -> None:
+        """Add value (1 for None) times the run, negated when `negate`, into
+        `total`.  In each word an odd repeat drops it unflagged before the
+        length test drops it flagged, as in a product."""
+        spec = total.spec
+        parities, swap, n = spec.parities, spec.swap_bits, spec.ngens
+        if self.flagged or value is not None and value.truncated:
+            total.truncated = True
+        c = Fraction(-self.num if negate else self.num, self.den)
+        exps = tuple(self.shift) if self.shift else (0,) * spec.nvars
+        unit = self.shift is None and self.num == self.den
+        for beta, poly in [((0,) * n, None)] if value is None else value.terms.items():
+            word, length, sign = list(beta), sum(beta), 0
+            for pos, e in self.steps:
+                if word[pos] and parities[pos]:
+                    break
+                length += e
+                if length > spec.truncation:
+                    total.truncated = True
+                    break
+                for h in range(pos + 1, n):  # pos crosses each later generator
+                    if word[h]:
+                        sign ^= swap[h][pos] * word[h] * e & 1
+                word[pos] += e
+            else:
+                if self.killed:
+                    continue
+                slot = total.acc.setdefault(tuple(word), {})
+                if poly is None:
+                    add_terms(slot, {exps: -c if sign else c})
+                elif unit:
+                    add_terms(slot, poly.terms if sign == negate
+                              else {x: -q for x, q in poly.terms.items()})
+                else:
+                    add_product(slot, {exps: c}, poly.terms, sign)
 
 
 class _Parser:
     """Recursive-descent evaluator straight into the algebra of one
-    `GeneratorSpec`: each atom power multiplies into its term's running
-    product in one pass, and a sum of several terms accumulates in one
-    `TermSum`."""
+    `GeneratorSpec`, over the tokens of `regex`, `_ATOMS` or `_SYMBOLS`;
+    a sum accumulates in one `TermSum`."""
 
-    def __init__(self, text: str, spec: GeneratorSpec):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.spec = spec
-        self.depth = 0
+    def __init__(self, text: str, spec: GeneratorSpec, regex):
+        if regex is _SYMBOLS:  # the errors of reading, at their positions
+            limit = sys.get_int_max_str_digits()
+            for m in regex.finditer(text):
+                kind = m.lastgroup
+                if kind == "bad":
+                    raise ExprError("unexpected character %r" % m.group(kind), m.start(kind))
+                if kind == "num" and limit and len(m.group(kind)) > limit:
+                    raise ExprError(_too_long(), m.start(kind))
+        self.text, self.spec, self.regex = text, spec, regex
+        self.tokens = regex.findall(text) + [_END]
+        self.i = self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message: str, i: int) -> ExprError:
+        """The error `message` at the position of token i."""
+        starts = [m.start(m.lastgroup) for m in self.regex.finditer(self.text)]
+        return ExprError(message, starts[i] if i < len(starts) else len(self.text))
 
-    def take(self, kind=None, describe=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ExprError("expected %s, found %r" % (describe or kind, tok[1]), tok[2])
+    def accept(self, sym: str) -> bool:
+        """Take the next token if it is the symbol `sym`."""
+        if self.tokens[self.i][7] != sym:
+            return False
         self.i += 1
-        return tok
+        return True
 
     def expect(self, sym: str):
-        if self.accept(sym) is None:
-            tok = self.peek()
-            raise ExprError("expected %r, found %r" % (sym, tok[1]), tok[2])
+        if not self.accept(sym):
+            raise self.fail("expected %r, found %r" % (sym, _value(self.tokens[self.i])), self.i)
 
-    def accept(self, *values):
-        """Take the next token if it is one of the symbols `values` and
-        return that symbol; otherwise take nothing and return None."""
+    def number(self, describe: str) -> int:
+        """The next token, which must be a plain number."""
         tok = self.tokens[self.i]
-        if tok[0] == "sym" and tok[1] in values:
-            self.i += 1
-            return tok[1]
-        return None
+        if not tok[0] or tok[1] or tok[6]:
+            raise self.fail("expected %s, found %r" % (describe, _value(tok)), self.i)
+        self.i += 1
+        return int(tok[0])
 
     def parse(self):
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprError("trailing input %r" % tok[1], tok[2])
+        if self.i < len(self.tokens) - 1:
+            raise self.fail("trailing input %r" % (_value(self.tokens[self.i]),), self.i)
         return value
 
     def expr(self):
-        value = self.term()
-        op = self.accept("+", "-")
-        if op is None:
-            return value
         total = TermSum(self.spec)
-        total.add(value)
-        while op is not None:
-            rhs = self.term()
-            total.add(rhs if op == "+" else -rhs)
-            op = self.accept("+", "-")
-        return total.element()
+        negate = False
+        while True:
+            self.term(total, negate)
+            op = self.tokens[self.i][7]
+            if op != "+" and op != "-":
+                return total.element()
+            self.i += 1
+            negate = op == "-"
 
-    def term(self):
-        value = self.factor(None)
-        while self.accept("*"):
-            value = self.factor(value)
-        return value
+    def term(self, total: TermSum, negate: bool) -> None:
+        """Add the next term, negated when `negate`, into `total`: its
+        factors up to the last parenthesised one multiply into `value`,
+        the atom powers after it fold into `run`.  The symbol tests are
+        `accept` written out, in this hot loop."""
+        tokens = self.tokens
+        value = run = None
+        while True:
+            entered = 0
+            while True:  # a factor: its '-' signs, then a power
+                self.depth += 1
+                entered += 1
+                if self.depth > MAX_NESTING:
+                    raise self.fail("nesting deeper than %d" % MAX_NESTING, self.i)
+                if tokens[self.i][7] != "-":
+                    break
+                self.i += 1
+                negate = not negate
+            if tokens[self.i][7] == "(":
+                self.i += 1
+                factor = self.power(self.expr())
+                if run is not None:
+                    left = TermSum(self.spec)
+                    run.add_to(left, value)
+                    value, run = left.element(), None
+                value = factor if value is None else value * factor
+            else:
+                run = run or _Run()
+                self.atom(run)
+            self.depth -= entered
+            if tokens[self.i][7] != "*":
+                break
+            self.i += 1
+        (run or _Run()).add_to(total, value, negate)
 
-    def factor(self, left):
-        """`left` times the next factor; None for `left` starts a term.
-        An atom power multiplies into `left` in one pass over its terms,
-        negated and parenthesised factors through the general product."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ExprError("nesting deeper than %d" % MAX_NESTING, self.peek()[2])
-        if self.accept("-"):
-            value = -self.factor(None)
-        elif self.accept("("):
-            value = self.expr()
-            self.expect(")")
-            value = value ** self.exponent(value)
-        else:
-            self.depth -= 1
-            return self.atom_power(GradedElement.one(self.spec) if left is None else left)
-        self.depth -= 1
-        return value if left is None else left * value
+    def power(self, base: GradedElement) -> GradedElement:
+        """The parenthesised `base`, whose ')' comes next, to its exponent,
+        refused past the budget.  The power's words are at most those up
+        to its length bound over the generators of base's words."""
+        self.expect(")")
+        e, at = self.exponent()
+        if e is None:
+            return base
+        spec, polys = self.spec, base.terms.values()
+        gens = {g for beta in base.terms for g, k in enumerate(beta) if k}
+        odd = sum(spec.parities[g] for g in gens)
+        even = len(gens) - odd
+        n = min(e * max(map(sum, base.terms), default=0), spec.truncation)
+        words = sum(comb(odd, j) * comb(n - j + even, even) for j in range(min(odd, n) + 1))
+        self.check_power([c for p in polys for c in p.terms.values()],
+                         max((p.degree() for p in polys), default=0), spec.nvars, words, e, at)
+        return base if e == 1 else base ** e
 
-    def exponent(self, base=None) -> int:
-        """The exponent after an optional '^', 1 without one.  A `base`, a
-        number or a parenthesised element, is checked against the budget."""
+    def check_power(self, coeffs, top: int, nvars: int, words: int, e: int, at: int):
+        """Refuse the e-th power, e read at token `at`, of a factor with
+        rational coefficients `coeffs` (one per term) and top base degree
+        `top` over nvars variables, whose power has at most `words` words,
+        when it passes the budget.  The power has at most comb(nvars +
+        e*top, nvars) base monomials per word, at most one term per
+        multiset of e of the factor's terms, and each of its coefficients
+        is at most height**e over a divisor of den**e."""
+        monomials = 1
+        for k in range(1, nvars + 1):  # comb(e*top + k, k), stopped past the limit
+            monomials = monomials * (e * top + k) // k
+            if monomials > MAX_POWER_MONOMIALS:
+                raise self.fail("a power may have more than %d base monomials, the limit "
+                                "for an exponent" % MAX_POWER_MONOMIALS, at)
+        terms, multisets = monomials * words, 1
+        for k in range(1, len(coeffs)):  # comb(e + k, k), stopped past `terms`
+            multisets = multisets * (e + k) // k
+            if multisets >= terms:
+                break
+        terms = min(terms, multisets)
+        if terms > MAX_POWER_MONOMIALS:
+            raise self.fail("a power may have more than %d terms, the limit for an exponent"
+                            % MAX_POWER_MONOMIALS, at)
+        den = lcm(*(c.denominator for c in coeffs))
+        height = max(int(sum(map(abs, coeffs)) * den), den)
+        # a height of 2 or more gives 0.3 digits or more per unit of e, so the
+        # cap on e keeps the float finite without changing the answer
+        if terms * min(e, 4 * MAX_POWER_DIGITS) * log10(height) > MAX_POWER_DIGITS:
+            raise self.fail("a power may have more than %d digits, the limit for an "
+                            "exponent" % MAX_POWER_DIGITS, at)
+
+    def exponent(self, text: str = "", default=None):
+        """(e, token index) of the exponent of what was just read: `text`,
+        read with an atom, or the number after a '^'; (default, None)
+        without one."""
+        if text:
+            return int(text), self.i - 1
         if not self.accept("^"):
-            return 1
-        _, e, at = self.take("num", "exponent")
-        if isinstance(base, Fraction):
-            _check_power([base], 0, 0, e, at)
-        elif base is not None:
-            polys = base.terms.values()
-            _check_power([c for p in polys for c in p.terms.values()],
-                         max((sum(x) for p in polys for x in p.terms), default=0),
-                         self.spec.nvars, e, at)
-        return e
+            return default, None
+        return self.number("exponent"), self.i - 1
 
-    def atom_power(self, left):
-        """`left` times the next plain atom (rational, variable or
-        generator) raised to its exponent."""
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            value = Fraction(tok[1])
-            if self.accept("/"):
-                den = self.take("num", "denominator")
-                if den[1] == 0:
-                    raise ExprError("zero denominator", den[2])
-                value = Fraction(tok[1], den[1])
-            return left._scale(value ** self.exponent(value))
-        if tok[0] != "name":
-            raise ExprError("expected a value, found %r" % (tok[1],), tok[2])
-        self.take()
-        name, at = tok[1], tok[2]
-        if name == "th" and self.accept("["):
-            return left.times_gen(self.generator_ref(at), self.exponent())
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
+    def atom(self, run: _Run) -> None:
+        """Multiply `run` by the next plain atom power."""
+        spec, i = self.spec, self.i
+        tok = self.tokens[i]
+        num, den, var, deg, idx, name, exp = tok[:7]
+        if not (num or var or deg or name):
+            raise self.fail("expected a value, found %r" % (_value(tok),), i)
+        self.i += 1
+        if num:
+            n, d, at = int(num), int(den or 1), i
+            if not den and not exp and self.accept("/"):
+                at, d = self.i, self.number("denominator")
+            if not d:
+                raise self.fail("zero denominator", at)
+            e, at = self.exponent(exp)
+            if e is not None:
+                q = Fraction(n, d)
+                self.check_power([q], 0, 0, 1, e, at)
+                q **= e
+                n, d = q.numerator, q.denominator
+            run.num *= n
+            run.den *= d
+            run.killed = run.killed or not n
+            return
+        if deg:
+            pos = spec._parsed.get(tok[3:5])
+            if pos is None:
+                deg = re.sub(r"\s", "", deg)
+                degree = tuple(map(int, deg[1:-1].split(","))) if deg[0] == "(" else int(deg)
+                pos = spec._parsed[tok[3:5]] = self.position(degree, int(idx), i)
+        elif name == "th" and self.accept("["):
+            pos = self.generator_ref(i)
+        elif not var:
+            pos = spec.position_of_name(name)
+            m = re.fullmatch(r"x(\d+)", name) if pos is None else None
+            if pos is None and m is None:
+                raise self.fail("unknown symbol %r" % name, i)
+            var = m and m.group(1)
+        if var:
             try:
-                mu = int(m.group(1))
+                mu = int(var)
             except ValueError as exc:
-                raise _too_long(at) from exc
-            if not 1 <= mu <= self.spec.nvars:
-                raise ExprError("variable %s out of range 1..%d" % (name, self.spec.nvars), at)
-            return left.times_variable(mu, self.exponent())
-        pos = self.spec.position_of_name(name)
-        if pos is None:
-            raise ExprError("unknown symbol %r" % name, at)
-        return left.times_gen(pos, self.exponent())
+                raise self.fail(_too_long(), i) from exc
+            if not 1 <= mu <= spec.nvars:
+                raise self.fail("variable x%s out of range 1..%d" % (var, spec.nvars), i)
+        e = self.exponent(exp, 1)[0]
+        if var:
+            run.shift = run.shift or [0] * spec.nvars
+            run.shift[mu - 1] += e
+        elif spec.parities[pos] and e > 1:
+            run.killed = True  # an odd square is zero before any word grows
+        elif e > spec.truncation:
+            run.killed = run.flagged = True  # a flagged zero whatever it multiplies
+        elif e and not run.killed:
+            run.steps.append((pos, e))
 
     def signed_int(self) -> int:
         neg = self.accept("-")
-        tok = self.take("num", "integer")
-        return -tok[1] if neg else tok[1]
+        value = self.number("integer")
+        return -value if neg else value
 
     def generator_ref(self, at: int):
         """The position of the generator th[degree,index] whose '[' was
-        just taken."""
+        just taken, its 'th' at token `at`."""
         if self.accept("("):
             comps = [self.signed_int()]
             while self.accept(","):
@@ -257,16 +361,29 @@ class _Parser:
         else:
             degree = self.signed_int()
         self.expect(",")
-        index = self.take("num", "generator index")[1]
+        index = self.number("generator index")
         self.expect("]")
+        return self.position(degree, index, at)
+
+    def position(self, degree, index: int, at: int) -> int:
         try:
             return self.spec.position_of(degree, index)
         except (GradingError, ValueError) as exc:
-            raise ExprError(str(exc), at) from exc
+            raise self.fail(str(exc), at) from exc
 
 
 def parse_element(text: str, spec: GeneratorSpec) -> GradedElement:
-    return _Parser(text, spec).parse()
+    """The element `text` reads over spec.  A text that fails, or has a
+    numeral too long to read, is read again one token per symbol, so the
+    error names that symbol and its position: a `bad` token is never
+    taken, so it fails the first reading too."""
+    limit = sys.get_int_max_str_digits()
+    if not (limit and len(text) > limit and re.search(r"(?<!\d)\d{%d}" % (limit + 1), text)):
+        try:
+            return _Parser(text, spec, _ATOMS).parse()
+        except ExprError:
+            pass
+    return _Parser(text, spec, _SYMBOLS).parse()
 
 
 def parse_poly(text: str, nvars: int) -> BasePoly:

@@ -126,6 +126,7 @@ class GeneratorSpec:
             raise AlgebraError("generator names must be unique")
         self._word_cache: dict = {}
         self._degree_cache: dict = {}
+        self._parsed: dict = {}  # the parser's th[deg,idx] token texts -> positions
 
     @property
     def ngens(self) -> int:
@@ -349,38 +350,6 @@ class GradedElement:
 
     def __pow__(self, k: int):
         return power(self, k, GradedElement.one(self.spec))
-
-    def times_variable(self, mu: int, e: int) -> "GradedElement":
-        """self * x_mu**e in one pass over the terms."""
-        k = mu - 1
-        return GradedElement._raw(self.spec, {
-            beta: BasePoly._raw(poly.nvars, {exps[:k] + (exps[k] + e,) + exps[k + 1:]: coeff
-                                             for exps, coeff in poly.terms.items()})
-            for beta, poly in self.terms.items()}, self.truncated)
-
-    def times_gen(self, pos: int, e: int) -> "GradedElement":
-        """self * gen(pos)**e in one pass over the terms, with exactly the
-        terms and truncation flag of that product."""
-        spec = self.spec
-        truncated = self.truncated
-        if spec.parities[pos] and e > 1:
-            # an odd square is zero before any word grows: no drop to flag
-            return GradedElement._raw(spec, {}, truncated)
-        if e > spec.truncation:
-            # too long on its own: a flagged zero whatever it multiplies
-            return GradedElement._raw(spec, {}, True)
-        gamma = tuple(e if h == pos else 0 for h in range(spec.ngens))
-        terms = {}
-        for beta, poly in self.terms.items():
-            sw = _word_product(spec, beta, gamma)
-            if sw is None:
-                continue
-            if sum(beta) + e > spec.truncation:
-                truncated = True
-                continue
-            sign, word = sw
-            terms[word] = -poly if sign else poly
-        return GradedElement._raw(spec, terms, truncated)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):

@@ -152,6 +152,12 @@ def _exprs(entry: dict, field: str, spec: GeneratorSpec, what: str) -> list:
     return [_parse(t, spec, "%s %s" % (what, field)) for t in _list(entry, field, what)]
 
 
+# Bounds checked before any word or exponent tuple is built.  At them, on
+# geometric.json, `invert g` takes 0.5 s at truncation 256 and `invert f`
+# 0.24 s over 1000 variables, as over none.
+MAX_TRUNCATION = 256
+MAX_VARS = 1000
+
 # the library errors that make an entry an input error, prefixed with the entry
 _ENTRY_ERRORS = (GradingError, AlgebraError, MorphismError, CalculusError)
 
@@ -187,6 +193,9 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
         setattr(s, key, value if override is None else override)
     if s.samples < 0:
         raise SessionError("samples must be nonnegative, got %d" % s.samples)
+    if s.truncation > MAX_TRUNCATION:
+        raise SessionError("truncation is more than %d, the limit for a session"
+                           % MAX_TRUNCATION)
     s.grading = _grading(data.get("grading"))
 
     def canonical(values, spec, what):
@@ -209,6 +218,9 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
     def domain(entry, what):
         try:
             nvars = _int(entry.get("vars", 0), "variable count")
+            if nvars > MAX_VARS:
+                raise SessionError("%s: vars is more than %d, the limit for a domain"
+                                   % (what, MAX_VARS))
             gens = _list(entry, "generators", what)
             degrees = [_degree(s.grading, g["degree"]) for g in gens]
             spec = GeneratorSpec(s.grading, nvars, degrees, truncation=s.truncation,

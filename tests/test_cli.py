@@ -337,6 +337,10 @@ def test_a_power_just_within_the_budget_is_computed(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.startswith("x1^20 + 20*x1^19*x2 + ") and out.endswith(" + 20*x3 + 1\n")
     assert out.count(" + ") == 1771 - 1
+    # 1771 base monomials times 2 words, but only 6 multisets of 5 of 2 terms
+    code, out, err = run_session(tmp_path, capsys, data, "normalize", "(x1^4 + thU)^5",
+                                 "--domain", "U")
+    assert (code, out, err) == (0, "x1^20 + 5*x1^16*thU\n", "")
 
 
 N = "9" * 4300  # the most digits the interpreter prints by default
@@ -388,6 +392,23 @@ def steep_atlas_session():
             "atlases": {"a": {"charts": ["U", "V"], "transitions": [leg, back]}}}
 
 
+def geometric_session(truncation=4, nvars=0):
+    """geometric.json at another truncation order or variable count."""
+    data = json.loads((SESSIONS / "geometric.json").read_text())
+    data["options"]["truncation"] = truncation
+    data["domains"]["U"]["vars"] = nvars
+    return data
+
+
+# four even generators at truncation 60: the e-th power of WORD_SUM has
+# comb(e + 4, 4) words, 1820 at e = 12 and 2380 at e = 13
+EVEN_WORDS = {"format": 1, "grading": {"kind": "nat_power", "k": 1},
+              "options": {"truncation": 60},
+              "domains": {"U": {"vars": 0, "generators": [{"degree": 2}] * 4}}}
+WORD_SUM = "(th[2,1]+th[2,2]+th[2,3]+th[2,4]+1)^%d"
+TRUNCATION = "truncation is more than 256, the limit for a session"
+VARS = "domain 'U': vars is more than 1000, the limit for a domain"
+TERMS = "a power may have more than 2000 terms, the limit for an exponent (at position 36)"
 TWO_CHARTS = json.loads((SESSIONS / "two_charts.json").read_text())
 QK_MODEL = json.loads((SESSIONS / "qk_model.json").read_text())
 IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
@@ -411,9 +432,16 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
      "pmax is more than 64, the limit for a descent tower"),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "100000000"),
      "pmax is more than 64, the limit for a descent tower"),
+    (geometric_session(truncation=257), ("invert", "f"), TRUNCATION),
+    (geometric_session(truncation=100000), ("invert", "f"), TRUNCATION),
+    (geometric_session(nvars=1001), ("invert", "f"), VARS),
+    (geometric_session(nvars=10 ** 8), ("invert", "f"), VARS),
+    (EVEN_WORDS, ("normalize", WORD_SUM % 13, "--domain", "U"), TERMS),
+    (EVEN_WORDS, ("normalize", WORD_SUM % 60, "--domain", "U"), TERMS),
 ], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
         "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
-        "range-samples", "composite-degree", "pmax", "pmax-huge"])
+        "range-samples", "composite-degree", "pmax", "pmax-huge", "truncation",
+        "truncation-huge", "vars", "vars-huge", "word-power", "word-power-huge"])
 def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
     start = time.perf_counter()
     with int_digit_limit(4300):
@@ -433,12 +461,22 @@ def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, mess
     (unit_box_session(["x1"], samples=232006), ("underlying", "m"), "x1 -> x1"),
     (unit_box_session(["x1^228"]), ("compose", "m", "m"), "x1 -> x1^51984"),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "64"), "O(0) = theta"),
+    (geometric_session(truncation=256), ("normalize", "t^256", "--domain", "U"), "t^256"),
+    (geometric_session(nvars=1000), ("normalize", "x1000*t", "--domain", "U"), "x1000*t"),
 ], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",
-        "composite-degree", "pmax"])
+        "composite-degree", "pmax", "truncation", "vars"])
 def test_a_run_just_within_a_limit_succeeds(tmp_path, capsys, data, argv, first_line):
     with int_digit_limit(4300):
         code, out, err = run_session(tmp_path, capsys, data, *argv)
     assert (code, out.splitlines()[0], err) == (0, first_line, "")
+
+
+def test_a_word_power_just_within_the_budget_is_computed(tmp_path, capsys):
+    code, out, err = run_session(tmp_path, capsys, EVEN_WORDS, "normalize", WORD_SUM % 12,
+                                 "--domain", "U")
+    assert (code, err) == (0, "")
+    assert out.startswith("1 + 12*th[2,1] + 12*th[2,2] + ")
+    assert out.count(" + ") == 1820 - 1
 
 
 @pytest.mark.parametrize("parity, text", [

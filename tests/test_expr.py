@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monograde import (ExprError, GeneratorSpec, GradedElement, IntPower,
-                       NatPower, parse_element, parse_poly, render_element,
+                       NatPower, Z2Power, parse_element, parse_poly, render_element,
                        render_poly)
 from monograde.expr import render_generator
 from monograde.sampling import random_element
@@ -239,6 +239,7 @@ def test_atom_runs_equal_the_left_to_right_product(run):
 ATOM_RUN_CASES = [
     (0, "0*t^3", "0", True),            # an even power past the order, times zero
     (0, "t*t*t*0", "0", True),          # the word overflows before the zero
+    (0, "0*t*t*t", "0", False),         # the zero stops the word before it overflows
     (0, "t*u*u", "0", False),           # the odd square kills it before the overflow
     (0, "t*u*th[1,2]", "0", True),
     (0, "u^2*t^5", "0", True),
@@ -255,3 +256,107 @@ def test_atom_run_flags(spec_index, text, rendering, truncated):
     element = parse_element(text, ATOM_SPECS[spec_index])
     assert render_element(element) == rendering
     assert element.truncated == truncated
+
+
+# Gradings shaped like the three workloads: int_power k=1 (pullback-scaled
+# and big.json) at truncation 3 and 6, and at 2, where short products
+# repeat an odd generator in the step that passes the order; nat_power k=2
+# with named generators (the QK models of calculus-scaled); and z2_power
+# n=2 (pullback-scaled).
+ORACLE_SPECS = [
+    GeneratorSpec(IntPower(1), 2, [1, 1, -1, 2, -2], truncation=n) for n in (2, 3, 6)] + [
+    GeneratorSpec(NatPower(2), 2, [(0, 1), (1, 0), (1, 1), (2, 0)], truncation=4,
+                  names=["theta", "psi", "phi", "eta"]),
+    GeneratorSpec(Z2Power(2), 3, [(1, 0), (1, 0), (0, 1), (1, 1)], truncation=4)]
+
+
+ATOM_KINDS = st.sampled_from(["integer", "fraction", "variable"] + ["generator", "name"] * 2)
+INTEGERS = st.integers(0, 12) | st.integers(0, 10 ** 30)
+POWER_SIGNS = st.sampled_from(["^", " ^ "])
+TH_FORMS = st.sampled_from(["th[%s,%d]", "th[ %s , %d ]"])
+# an atom's exponent reaches past the truncation order of its spec
+ATOM_EXPONENTS = {n: st.none() | st.integers(0, n + 2) for n in (2, 3, 4, 6)}
+PAREN_EXPONENTS = st.none() | st.integers(0, 3)
+FACTOR_KINDS = st.sampled_from(["atom"] * 6 + ["negation", "parentheses"])
+SIGNS = st.sampled_from(["+", "-"])
+
+
+def oracle_atom(draw, spec):
+    """(text, value) of a plain atom power, the value built from
+    `GradedElement.scalar`, `variable` and `gen` alone."""
+    kind = draw(ATOM_KINDS)
+    if kind == "integer":
+        n = draw(INTEGERS)
+        text, value = str(n), GradedElement.scalar(spec, n)
+    elif kind == "fraction":
+        a, b = draw(st.integers(0, 30)), draw(st.integers(1, 12))
+        text, value = "%d/%d" % (a, b), GradedElement.scalar(spec, Fraction(a, b))
+    elif kind == "variable":
+        mu = draw(st.integers(1, spec.nvars))
+        text, value = "x%d" % mu, GradedElement.variable(spec, mu)
+    else:
+        pos = draw(st.integers(0, spec.ngens - 1))
+        g = spec.generators[pos]
+        if kind == "name" and g.name:
+            text = g.name
+        else:
+            text = draw(TH_FORMS) % (spec.grading.format_element(g.degree), g.index)
+        value = GradedElement.gen(spec, pos)
+    e = draw(ATOM_EXPONENTS[spec.truncation])
+    if e is None:
+        return text, value
+    return "%s%s%d" % (text, draw(POWER_SIGNS), e), value ** e
+
+
+def oracle_factor(draw, spec, depth):
+    kind = draw(FACTOR_KINDS if depth < 3 else st.just("atom"))
+    if kind == "atom":
+        return oracle_atom(draw, spec)
+    if kind == "negation":
+        text, value = oracle_factor(draw, spec, depth + 1)
+        return "-" + text, -value
+    text, value = oracle_sum(draw, spec, depth + 1)
+    e = draw(PAREN_EXPONENTS)
+    if e is None:
+        return "(%s)" % text, value
+    return "(%s)^%d" % (text, e), value ** e
+
+
+def oracle_term(draw, spec, depth):
+    text, value = oracle_factor(draw, spec, depth)
+    for _ in range(draw(st.integers(0, 4))):
+        more, factor = oracle_factor(draw, spec, depth)
+        text, value = text + "*" + more, value * factor
+    return text, value
+
+
+def oracle_sum(draw, spec, depth):
+    text, value = oracle_term(draw, spec, depth)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(SIGNS)
+        more, term = oracle_term(draw, spec, depth)
+        text = "%s %s %s" % (text, op, more)
+        value = value + term if op == "+" else value - term
+    return text, value
+
+
+@st.composite
+def oracle_texts(draw):
+    """A spec, a text of the full grammar over it, and its value built in
+    the text's own grouping with `+`, unary `-`, `*` and `**`."""
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    return (spec, *oracle_sum(draw, spec, 0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(oracle_texts())
+def test_parsing_equals_the_operator_evaluation(drawn):
+    spec, text, expected = drawn
+    try:
+        got = parse_element(text, spec)
+    except ExprError as exc:
+        # a power past the budget is refused before it is computed
+        assert "the limit for an exponent" in str(exc)
+        return
+    assert got == expected
+    assert got.truncated == expected.truncated

@@ -9,7 +9,7 @@ interpreter per side, the export first and the working tree second, and
 compares the SHA-256 digest of each run's (exit code, stdout, stderr).
 It prints every mismatch and exits 1 if there is any.
 
-The corpus has three parts:
+The corpus has four parts:
 - every command of the three benchmark workloads at seeds 0-2, from the
   unchanged `perfbench/workloads.py`;
 - every single-field mutation of the bundled sessions, with the command
@@ -22,7 +22,10 @@ The corpus has three parts:
   `tests/test_morphism.py`.  A session declares one truncation order for
   all its domains, so `check-hom` on a session never loses a word and
   never fails; that morphism (target truncated at 1, source at 4) runs
-  through the library, its report printed to stdout.
+  through the library, its report printed to stdout;
+- error texts and positions: `normalize --domain` of a fixed list of
+  malformed and edge-case expressions (`error_texts`) on every bundled
+  session that declares a domain.
 
 The generated sessions are written under DIR/.bench_out/diff_parent.
 """
@@ -42,8 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench"),
 
 import workloads  # noqa: E402  (perfbench)
 from bench_pairs import export  # noqa: E402
-from test_cli import (FUZZ_COMMANDS, MUTATION_VALUES, field_paths,  # noqa: E402
-                      replace_field)
+from test_cli import (EXPR_PIECES, FUZZ_COMMANDS, MUTATION_VALUES,  # noqa: E402
+                      NORMALIZE_DOMAINS, field_paths, replace_field)
 
 SEEDS = (0, 1, 2)
 # the mutation test's values, then five that reach the numeric and string readers
@@ -95,7 +98,43 @@ def corpus(out: Path) -> list:
                 runs.append(("%s %s = %s" % (name, list(path), json.dumps(value)),
                              [*command, "--session", str(session)]))
     runs += fail_paths(out)
+    for name, domain in sorted(NORMALIZE_DOMAINS.items()):
+        session = str(ROOT / "sessions" / name)
+        runs += [("%s normalize %r" % (name, text),
+                  ["normalize", "--domain", domain, "--session", session, "--", text])
+                 for text in error_texts()]
     return runs
+
+
+# One more digit than the interpreter reads by default, and as many.
+LONG, EDGE = "9" * 4301, "9" * 4300
+
+
+def error_texts() -> list:
+    """Malformed and edge-case expressions: each piece of the syntax of
+    tests/test_cli.py alone and in every pair, bad generator references,
+    zero and missing denominators, '^' without a number, adjacent atoms,
+    deep nesting, and numerals past and at the digit limit in every
+    numeric position."""
+    texts = list(EXPR_PIECES) + [a + b for a in EXPR_PIECES for b in EXPR_PIECES]
+    texts += ["th[", "th[1", "th[1,", "th[1,1", "th[1,1]]", "th[,1]", "th[(1,0,1]",
+              "th[(1,0),]", "th[1,1)", "th[- 1,1]", "th[--1,1]", "th [ 1 , 1 ]", "th[1 1]",
+              "th[1,-1]", "th[(),1]", "th[(1,),1]", "th[1/2,1]", "th[1,2/3]", "th[1,1]^",
+              "th[1,1]^-1", "th1", "th^2", "th[x1,1]", "th[1,x1]", "th[(1,0),1]"]
+    texts += ["1/0", "1/00", "x1*2/0", "1/0^2", "0/0", "2^2/0", "2^0/3", "1/", "1/x1",
+              "1/-2", "1 / 2", "1/2/3", "1/2^2", "0^0", "x1^", "x1^-1", "t^", "(x1)^", "2^",
+              "x1^x1", "x1^^2", "x1^2^3", "(x1)^2^3", "-x1^2", "2x1", "x1 2", "x1x2",
+              "x1 x2", "t t", "2 2", "1/2 3", "th[1,1]th[1,1]", "(x1)(x2)", "x1(2)", "2(x1)",
+              "", " ", "-", "--x1", "-(-x1)", "((x1))", "x0", "x01", "x99", "\u0663",
+              "x\u0663", "x1\u0663", "1/\u0663", "$", "x1 $", "t*$", "x1 + * 2"]
+    texts += ["(" * n + "x1" + ")" * n for n in (99, 100, 101)]
+    texts += ["-" * n + "x1" for n in (99, 100, 101)]
+    for digits in (LONG, EDGE):
+        texts += [form % digits for form in (
+            "%s", "1/%s", "x1^%s", "2^%s", "(x1)^%s", "t^%s", "th[%s,1]", "th[-%s,1]",
+            "th[(%s,0),1]", "th[1,%s]", "x%s", "x%s^2", "+ %s", "x1 $ %s", "%s $",
+            "x1 2 %s", "1/0 %s", "th[1, %s")]
+    return list(dict.fromkeys(texts))
 
 
 # The model of tests/test_calculus.py::test_a_length_lowering_field_is_probed:

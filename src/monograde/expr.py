@@ -13,15 +13,16 @@ an integer or a tuple literal like (1,0), and NAME is a declared generator
 name.  Parentheses and unary minus nest at most MAX_NESTING deep.
 
 One evaluator reads this grammar straight into the algebra of a
-`GeneratorSpec`; `parse_poly` is its generator-free case.  Its lexer
-reads a plain atom (rational, variable, generator or name) with its ^NAT
-as one token, in one `findall` that keeps no positions; a text that fails
-is read again one symbol per token, so an error names that symbol's
-position.  A term's atom powers fold into one monomial (`_Run`), applied
-in one pass to the words of the term's parenthesised factor, if any: a
-monomial is injective on words and exponents.  The `truncated` flag is
-that of left-to-right `*`: a word longer than the truncation order, or an
-even generator power longer on its own, leaves a flagged zero even if a
+`GeneratorSpec`; `parse_poly` is its generator-free case.  Its lexer reads
+one symbol per token, except that a variable, a generator or a name takes
+its ^NAT with it, in one `findall` that keeps no positions; an error finds
+its token's position in the same token list.  A bad character, or a
+numeral too long to read, is the first error of any text, found by a scan
+of its symbols.  A term's atom powers fold into one monomial (`_Run`),
+applied in one pass to the words of the term's parenthesised factor, if
+any: a monomial is injective on words and exponents.  The `truncated` flag
+is that of left-to-right `*`: a word longer than the truncation order, or
+an even generator power longer on its own, leaves a flagged zero even if a
 later factor is 0, while a repeated odd generator gives an unflagged zero.
 
 Rendering emits terms sorted by generator word (short words first), then
@@ -60,20 +61,19 @@ MAX_NESTING = 100
 MAX_POWER_MONOMIALS = 2000
 MAX_POWER_DIGITS = 100_000
 
-# One pattern for both token sizes.  With {0} empty, a plain atom power is
-# one token; with {0} a guard that never matches, every symbol is its own
-# token.  Every non-blank character starts a token; `bad` catches the ones
-# no other group reads.  A token is the tuple of the groups in this order,
-# '' for each one that did not match: num, den, var, deg, idx, name, exp,
-# sym, bad.
-_TOKEN = (r"\s*(?:(?:(?P<num>\d+)(?:{0}\s*/\s*(?P<den>\d+))?"
-          r"|{0}x(?P<var>[0-9]+)(?![A-Za-z0-9_])"
-          r"|{0}th\s*\[\s*(?P<deg>-?\s*\d+|\(\s*-?\s*\d+(?:\s*,\s*-?\s*\d+)*\s*\))"
-          r"\s*,\s*(?P<idx>\d+)\s*\]|(?P<name>%s))(?:{0}\s*\^\s*(?P<exp>\d+))?"
-          r"|(?P<sym>[+\-*^()\[\],/])|(?P<bad>\S))" % NAME_PATTERN)
-_ATOMS = re.compile(_TOKEN.format(""))
-_SYMBOLS = re.compile(_TOKEN.format("(?!)"))
-_END = ("",) * 9  # no group matched
+# One token per symbol, except that a variable, a generator th[deg,idx]
+# or a name is one token with its optional ^NAT.  Every non-blank character
+# starts a token; `bad` catches the ones no other group reads.  A token is
+# the tuple of the groups in this order, '' for each one that did not
+# match: num, var, deg, idx, name, exp, sym, bad.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?:x(?P<var>[0-9]+)(?![A-Za-z0-9_])"
+    r"|th\s*\[\s*(?P<deg>-?\s*\d+|\(\s*-?\s*\d+(?:\s*,\s*-?\s*\d+)*\s*\))"
+    r"\s*,\s*(?P<idx>\d+)\s*\]|(?P<name>%s))(?:\s*\^\s*(?P<exp>\d+))?"
+    r"|(?P<sym>[+\-*^()\[\],/])|(?P<bad>\S))" % NAME_PATTERN)
+_END = ("",) * 8  # no group matched
+# The symbols one at a time: a numeral, a name, a symbol or blank, else a bad character.
+_SYMBOL = re.compile(r"(\d+)|%s|[+\-*^()\[\],/\s]|(\S)" % NAME_PATTERN)
 
 
 def _too_long() -> str:
@@ -82,8 +82,26 @@ def _too_long() -> str:
 
 
 def _value(tok):
-    """What a one-symbol token reads: a number, a name, a symbol, or None at the end."""
-    return int(tok[0]) if tok[0] else tok[5] or tok[7] or None
+    """What a token's first symbol reads: a number, 'x<digits>', 'th', a
+    name, a symbol, or None at the end."""
+    num, var, deg = tok[:3]
+    return int(num) if num else "x" + var if var else "th" if deg else tok[4] or tok[6] or None
+
+
+def _check_symbols(text: str) -> None:
+    """Raise the first bad character or numeral too long to read in `text`."""
+    limit = sys.get_int_max_str_digits()
+    for m in _SYMBOL.finditer(text):
+        if m[2] or limit and len(m[1] or "") > limit:
+            raise ExprError("unexpected character %r" % m[2] if m[2] else _too_long(), m.start())
+
+
+def _comb_past(n: int, k: int) -> int:
+    """comb(n + k, k), or a number past MAX_POWER_MONOMIALS once it passes it."""
+    c = j = 1
+    while j <= k and c <= MAX_POWER_MONOMIALS:
+        c, j = c * (n + j) // j, j + 1
+    return c
 
 
 class _Run:
@@ -137,30 +155,22 @@ class _Run:
 
 class _Parser:
     """Recursive-descent evaluator straight into the algebra of one
-    `GeneratorSpec`, over the tokens of `regex`, `_ATOMS` or `_SYMBOLS`;
-    a sum accumulates in one `TermSum`."""
+    `GeneratorSpec`, over the tokens of `_TOKEN`; a sum accumulates in one
+    `TermSum`."""
 
-    def __init__(self, text: str, spec: GeneratorSpec, regex):
-        if regex is _SYMBOLS:  # the errors of reading, at their positions
-            limit = sys.get_int_max_str_digits()
-            for m in regex.finditer(text):
-                kind = m.lastgroup
-                if kind == "bad":
-                    raise ExprError("unexpected character %r" % m.group(kind), m.start(kind))
-                if kind == "num" and limit and len(m.group(kind)) > limit:
-                    raise ExprError(_too_long(), m.start(kind))
-        self.text, self.spec, self.regex = text, spec, regex
-        self.tokens = regex.findall(text) + [_END]
+    def __init__(self, text: str, spec: GeneratorSpec):
+        self.text, self.spec = text, spec
+        self.tokens = _TOKEN.findall(text) + [_END]
         self.i = self.depth = 0
 
     def fail(self, message: str, i: int) -> ExprError:
-        """The error `message` at the position of token i."""
-        starts = [m.start(m.lastgroup) for m in self.regex.finditer(self.text)]
+        """The error `message` at the first non-blank character of token i."""
+        starts = [m.end() - len(m[0].lstrip()) for m in _TOKEN.finditer(self.text)]
         return ExprError(message, starts[i] if i < len(starts) else len(self.text))
 
     def accept(self, sym: str) -> bool:
         """Take the next token if it is the symbol `sym`."""
-        if self.tokens[self.i][7] != sym:
+        if self.tokens[self.i][6] != sym:
             return False
         self.i += 1
         return True
@@ -172,7 +182,7 @@ class _Parser:
     def number(self, describe: str) -> int:
         """The next token, which must be a plain number."""
         tok = self.tokens[self.i]
-        if not tok[0] or tok[1] or tok[6]:
+        if not tok[0]:
             raise self.fail("expected %s, found %r" % (describe, _value(tok)), self.i)
         self.i += 1
         return int(tok[0])
@@ -188,7 +198,7 @@ class _Parser:
         negate = False
         while True:
             self.term(total, negate)
-            op = self.tokens[self.i][7]
+            op = self.tokens[self.i][6]
             if op != "+" and op != "-":
                 return total.element()
             self.i += 1
@@ -208,11 +218,11 @@ class _Parser:
                 entered += 1
                 if self.depth > MAX_NESTING:
                     raise self.fail("nesting deeper than %d" % MAX_NESTING, self.i)
-                if tokens[self.i][7] != "-":
+                if tokens[self.i][6] != "-":
                     break
                 self.i += 1
                 negate = not negate
-            if tokens[self.i][7] == "(":
+            if tokens[self.i][6] == "(":
                 self.i += 1
                 factor = self.power(self.expr())
                 if run is not None:
@@ -224,7 +234,7 @@ class _Parser:
                 run = run or _Run()
                 self.atom(run)
             self.depth -= entered
-            if tokens[self.i][7] != "*":
+            if tokens[self.i][6] != "*":
                 break
             self.i += 1
         (run or _Run()).add_to(total, value, negate)
@@ -251,22 +261,16 @@ class _Parser:
         """Refuse the e-th power, e read at token `at`, of a factor with
         rational coefficients `coeffs` (one per term) and top base degree
         `top` over nvars variables, whose power has at most `words` words,
-        when it passes the budget.  The power has at most comb(nvars +
-        e*top, nvars) base monomials per word, at most one term per
-        multiset of e of the factor's terms, and each of its coefficients
-        is at most height**e over a divisor of den**e."""
-        monomials = 1
-        for k in range(1, nvars + 1):  # comb(e*top + k, k), stopped past the limit
-            monomials = monomials * (e * top + k) // k
-            if monomials > MAX_POWER_MONOMIALS:
-                raise self.fail("a power may have more than %d base monomials, the limit "
-                                "for an exponent" % MAX_POWER_MONOMIALS, at)
-        terms, multisets = monomials * words, 1
-        for k in range(1, len(coeffs)):  # comb(e + k, k), stopped past `terms`
-            multisets = multisets * (e + k) // k
-            if multisets >= terms:
-                break
-        terms = min(terms, multisets)
+        when it passes the budget.  The power has at most one term per
+        multiset of e of the factor's terms, so at most that many or
+        comb(nvars + e*top, nvars) base monomials per word, and each of its
+        coefficients is at most height**e over a divisor of den**e."""
+        multisets = _comb_past(e, len(coeffs) - 1)
+        monomials = min(_comb_past(e * top, nvars), multisets)
+        if monomials > MAX_POWER_MONOMIALS:
+            raise self.fail("a power may have more than %d base monomials, the limit "
+                            "for an exponent" % MAX_POWER_MONOMIALS, at)
+        terms = min(monomials * words, multisets)
         if terms > MAX_POWER_MONOMIALS:
             raise self.fail("a power may have more than %d terms, the limit for an exponent"
                             % MAX_POWER_MONOMIALS, at)
@@ -278,12 +282,9 @@ class _Parser:
             raise self.fail("a power may have more than %d digits, the limit for an "
                             "exponent" % MAX_POWER_DIGITS, at)
 
-    def exponent(self, text: str = "", default=None):
-        """(e, token index) of the exponent of what was just read: `text`,
-        read with an atom, or the number after a '^'; (default, None)
-        without one."""
-        if text:
-            return int(text), self.i - 1
+    def exponent(self, default=None):
+        """(e, token index) of the number after a '^', if one comes next;
+        (default, None) without one."""
         if not self.accept("^"):
             return default, None
         return self.number("exponent"), self.i - 1
@@ -292,17 +293,17 @@ class _Parser:
         """Multiply `run` by the next plain atom power."""
         spec, i = self.spec, self.i
         tok = self.tokens[i]
-        num, den, var, deg, idx, name, exp = tok[:7]
+        num, var, deg, idx, name, exp = tok[:6]
         if not (num or var or deg or name):
             raise self.fail("expected a value, found %r" % (_value(tok),), i)
         self.i += 1
         if num:
-            n, d, at = int(num), int(den or 1), i
-            if not den and not exp and self.accept("/"):
+            n, d, at = int(num), 1, i
+            if self.accept("/"):
                 at, d = self.i, self.number("denominator")
             if not d:
                 raise self.fail("zero denominator", at)
-            e, at = self.exponent(exp)
+            e, at = self.exponent()
             if e is not None:
                 q = Fraction(n, d)
                 self.check_power([q], 0, 0, 1, e, at)
@@ -313,27 +314,25 @@ class _Parser:
             run.killed = run.killed or not n
             return
         if deg:
-            pos = spec._parsed.get(tok[3:5])
+            pos = spec._parsed.get(tok[2:4])
             if pos is None:
                 deg = re.sub(r"\s", "", deg)
                 degree = tuple(map(int, deg[1:-1].split(","))) if deg[0] == "(" else int(deg)
-                pos = spec._parsed[tok[3:5]] = self.position(degree, int(idx), i)
-        elif name == "th" and self.accept("["):
-            pos = self.generator_ref(i)
-        elif not var:
-            pos = spec.position_of_name(name)
-            m = re.fullmatch(r"x(\d+)", name) if pos is None else None
-            if pos is None and m is None:
-                raise self.fail("unknown symbol %r" % name, i)
-            var = m and m.group(1)
-        if var:
+                pos = spec._parsed[tok[2:4]] = self.position(degree, int(idx), i)
+        elif var:
             try:
                 mu = int(var)
             except ValueError as exc:
                 raise self.fail(_too_long(), i) from exc
             if not 1 <= mu <= spec.nvars:
                 raise self.fail("variable x%s out of range 1..%d" % (var, spec.nvars), i)
-        e = self.exponent(exp, 1)[0]
+        elif name == "th" and not exp and self.accept("["):
+            pos = self.generator_ref(i)
+        else:
+            pos = spec.position_of_name(name)
+            if pos is None:
+                raise self.fail("unknown symbol %r" % name, i)
+        e = int(exp) if exp else self.exponent(1)[0]
         if var:
             run.shift = run.shift or [0] * spec.nvars
             run.shift[mu - 1] += e
@@ -373,17 +372,17 @@ class _Parser:
 
 
 def parse_element(text: str, spec: GeneratorSpec) -> GradedElement:
-    """The element `text` reads over spec.  A text that fails, or has a
-    numeral too long to read, is read again one token per symbol, so the
-    error names that symbol and its position: a `bad` token is never
-    taken, so it fails the first reading too."""
-    limit = sys.get_int_max_str_digits()
-    if not (limit and len(text) > limit and re.search(r"(?<!\d)\d{%d}" % (limit + 1), text)):
-        try:
-            return _Parser(text, spec, _ATOMS).parse()
-        except ExprError:
-            pass
-    return _Parser(text, spec, _SYMBOLS).parse()
+    """The element `text` reads over spec, read once.  A bad character or a
+    numeral too long to read is reported before any other error: the
+    symbols are scanned before the reading when the text could hold such
+    a numeral, and after it when the reading fails, as a bad character makes it."""
+    if len(text) > sys.get_int_max_str_digits() > 0:
+        _check_symbols(text)
+    try:
+        return _Parser(text, spec).parse()
+    except ExprError:
+        _check_symbols(text)
+        raise
 
 
 def parse_poly(text: str, nvars: int) -> BasePoly:

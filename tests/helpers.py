@@ -14,7 +14,7 @@ from math import factorial
 from random import Random
 
 from monograde import (BasePoly, DomainSpec, Derivation, GeneratorSpec,
-                       GradedElement, IntPower, NatPower)
+                       GradedElement, IntPower, NatPower, Z2Power)
 from monograde.grading import KGroupElement
 
 
@@ -43,6 +43,18 @@ def qk_model(truncation=6):
     K = Derivation(dom, KGroupElement((1, 0), (0, 1)), [zero], [psi, zero, zero])
     d = Derivation(dom, KGroupElement((1, 0), (0, 0)), [psi], [phi, zero, zero])
     return spec, dom, (theta, psi, phi), (Q, K, d)
+
+
+# Gradings shaped like the three workloads: int_power k=1 (pullback-scaled
+# and big.json) at truncation 3 and 6, and at 2, where short products
+# repeat an odd generator in the step that passes the order; nat_power k=2
+# with named generators (the QK models of calculus-scaled); and z2_power
+# n=2 (pullback-scaled).
+WORKLOAD_SPECS = [
+    GeneratorSpec(IntPower(1), 2, [1, 1, -1, 2, -2], truncation=n) for n in (2, 3, 6)] + [
+    GeneratorSpec(NatPower(2), 2, [(0, 1), (1, 0), (1, 1), (2, 0)], truncation=4,
+                  names=["theta", "psi", "phi", "eta"]),
+    GeneratorSpec(Z2Power(2), 3, [(1, 0), (1, 0), (0, 1), (1, 1)], truncation=4)]
 
 
 # -- independent oracles -----------------------------------------------------

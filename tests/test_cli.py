@@ -341,6 +341,13 @@ def test_a_power_just_within_the_budget_is_computed(tmp_path, capsys):
     code, out, err = run_session(tmp_path, capsys, data, "normalize", "(x1^4 + thU)^5",
                                  "--domain", "U")
     assert (code, out, err) == (0, "x1^20 + 5*x1^16*thU\n", "")
+    # comb(403, 3) monomials of degree up to 400 in 3 variables, but only
+    # 101 multisets of 100 of 2 terms
+    code, out, err = run_session(tmp_path, capsys, data, "normalize", "(x1^4 + 1)^100",
+                                 "--domain", "U")
+    assert (code, err) == (0, "")
+    assert out.startswith("x1^400 + 100*x1^396 + ") and out.endswith(" + 100*x1^4 + 1\n")
+    assert out.count(" + ") == 101 - 1
 
 
 N = "9" * 4300  # the most digits the interpreter prints by default

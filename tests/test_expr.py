@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monograde import (ExprError, GeneratorSpec, GradedElement, IntPower,
-                       NatPower, Z2Power, parse_element, parse_poly, render_element,
+                       NatPower, parse_element, parse_poly, render_element,
                        render_poly)
 from monograde.expr import render_generator
 from monograde.sampling import random_element
 
-from helpers import nat1_spec, rich_int_spec
+from helpers import WORKLOAD_SPECS, nat1_spec, rich_int_spec
 
 
 def test_parse_basic_terms():
@@ -145,6 +145,15 @@ SYNTAX_ERRORS = [
     ("x1^-1", "expected exponent, found '-'", 3),
     ("2x1", "trailing input 'x1'", 1),
     ("1/2/3", "trailing input '/'", 3),
+    # a number is one token per symbol; a variable, th[...] or name takes its ^NAT
+    ("(x1)^2/3", "trailing input '/'", 6),
+    ("th[1,2/3]", "expected ']', found '/'", 6),
+    ("th[(1/2,0),1]", "expected ')', found '/'", 5),
+    ("x1 x2^2", "trailing input 'x2'", 3),
+    ("2 th[1,1]", "trailing input 'th'", 2),
+    ("1/ 0", "zero denominator", 3),
+    ("th[1,1]^2^3", "trailing input '^'", 9),
+    ("th^1[1,2]", "unknown symbol 'th'", 0),
 ]
 
 
@@ -154,6 +163,17 @@ def test_syntax_error_message_and_position(text, message, pos):
         parse_element(text, nat1_spec())
     assert str(err.value) == "%s (at position %d)" % (message, pos)
     assert err.value.pos == pos
+
+
+def test_a_failing_text_is_read_once(monkeypatch):
+    calls = []
+    power = GradedElement.__pow__
+    monkeypatch.setattr(GradedElement, "__pow__",
+                        lambda self, e: calls.append(e) or power(self, e))
+    with pytest.raises(ExprError) as err:
+        parse_element("(x1 + x2 + x3 + 1)^20)", nat1_spec(nvars=3))
+    assert str(err.value) == "trailing input ')' (at position 21)"
+    assert calls == [20]
 
 
 FUZZ_TOKENS = ("x1 x2 x0 t th u [ ] ( ) , + - * ^ / 0 1 2 3 4 5 6 7 8 9 $ "
@@ -258,18 +278,6 @@ def test_atom_run_flags(spec_index, text, rendering, truncated):
     assert element.truncated == truncated
 
 
-# Gradings shaped like the three workloads: int_power k=1 (pullback-scaled
-# and big.json) at truncation 3 and 6, and at 2, where short products
-# repeat an odd generator in the step that passes the order; nat_power k=2
-# with named generators (the QK models of calculus-scaled); and z2_power
-# n=2 (pullback-scaled).
-ORACLE_SPECS = [
-    GeneratorSpec(IntPower(1), 2, [1, 1, -1, 2, -2], truncation=n) for n in (2, 3, 6)] + [
-    GeneratorSpec(NatPower(2), 2, [(0, 1), (1, 0), (1, 1), (2, 0)], truncation=4,
-                  names=["theta", "psi", "phi", "eta"]),
-    GeneratorSpec(Z2Power(2), 3, [(1, 0), (1, 0), (0, 1), (1, 1)], truncation=4)]
-
-
 ATOM_KINDS = st.sampled_from(["integer", "fraction", "variable"] + ["generator", "name"] * 2)
 INTEGERS = st.integers(0, 12) | st.integers(0, 10 ** 30)
 POWER_SIGNS = st.sampled_from(["^", " ^ "])
@@ -344,7 +352,7 @@ def oracle_sum(draw, spec, depth):
 def oracle_texts(draw):
     """A spec, a text of the full grammar over it, and its value built in
     the text's own grouping with `+`, unary `-`, `*` and `**`."""
-    spec = draw(st.sampled_from(ORACLE_SPECS))
+    spec = draw(st.sampled_from(WORKLOAD_SPECS))
     return (spec, *oracle_sum(draw, spec, 0))
 
 

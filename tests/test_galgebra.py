@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monograde import (AlgebraError, BasePoly, GeneratorSpec, GradedElement,
                        IntPower, NatPower, NotInvertible, Z2Power, parse_element,
@@ -11,8 +13,8 @@ from monograde import (AlgebraError, BasePoly, GeneratorSpec, GradedElement,
 from monograde.galgebra import Generator, TermSum
 from monograde.sampling import random_element, random_homogeneous, random_poly
 
-from helpers import (from_raw_terms, inversion_sign, mul_oracle, nat1_spec,
-                     occurrences)
+from helpers import (WORKLOAD_SPECS, from_raw_terms, inversion_sign, mul_oracle,
+                     nat1_spec, occurrences)
 
 
 def E(text, spec):
@@ -273,6 +275,48 @@ def test_invert_rejects_nonconstant_body():
         E("x1 + th[1,1]", spec).invert()
     with pytest.raises(NotInvertible):
         E("th[1,1]", spec).invert()
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def units(draw):
+    """A nonzero constant plus up to four terms of nonempty words, over a
+    grading shaped like a workload, flagged or not."""
+    spec = draw(st.sampled_from(WORKLOAD_SPECS))
+    monomials = st.tuples(*[st.integers(0, 2)] * spec.nvars)
+    polys = st.dictionaries(monomials, RATIONALS, min_size=1, max_size=2).map(
+        lambda terms: BasePoly(spec.nvars, terms))
+    words = st.sampled_from([w for w in spec.words_up_to(spec.truncation) if sum(w)])
+    items = draw(st.lists(st.tuples(words, polys), max_size=4))
+    c = draw(RATIONALS.filter(bool))
+    return GradedElement(spec, [((0,) * spec.ngens, c)] + items, draw(st.booleans()))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(units())
+def test_invert_equals_the_geometric_series_of_raw_products(f):
+    # f = c*(1 + u) with u of word length >= 1, so f^-1 = c^-1 * sum of
+    # (-u)^k up to the first zero power; a power is flagged when f is or a
+    # product drops a word, and the inverse when a nonzero power is
+    spec = f.spec
+    cinv = BasePoly.const(spec.nvars, 1 / f.body().constant_value())
+    minus_u = GradedElement(spec, [(beta, -p * cinv) for beta, p in f.terms.items() if sum(beta)])
+    power, flagged = GradedElement.one(spec), f.truncated
+    series, series_flagged = [power], False
+    for _ in range(spec.truncation):
+        power = mul_oracle(power, minus_u)
+        flagged = flagged or power.truncated
+        if power.is_zero():
+            break
+        series.append(power)
+        series_flagged = flagged
+    expected = GradedElement(spec, [(beta, p * cinv) for x in series
+                                    for beta, p in x.terms.items()])
+    got = f.invert()
+    assert got == expected
+    assert got.truncated == series_flagged
 
 
 def test_invert_randomized_both_directions():

@@ -114,8 +114,9 @@ def error_texts() -> list:
     """Malformed and edge-case expressions: each piece of the syntax of
     tests/test_cli.py alone and in every pair, bad generator references,
     zero and missing denominators, '^' without a number, adjacent atoms,
-    deep nesting, and numerals past and at the digit limit in every
-    numeric position."""
+    deep nesting, token boundaries of numbers and of atoms with their
+    exponents, a failing text with a large power, and numerals past and at
+    the digit limit in every numeric position."""
     texts = list(EXPR_PIECES) + [a + b for a in EXPR_PIECES for b in EXPR_PIECES]
     texts += ["th[", "th[1", "th[1,", "th[1,1", "th[1,1]]", "th[,1]", "th[(1,0,1]",
               "th[(1,0),]", "th[1,1)", "th[- 1,1]", "th[--1,1]", "th [ 1 , 1 ]", "th[1 1]",
@@ -127,6 +128,8 @@ def error_texts() -> list:
               "x1 x2", "t t", "2 2", "1/2 3", "th[1,1]th[1,1]", "(x1)(x2)", "x1(2)", "2(x1)",
               "", " ", "-", "--x1", "-(-x1)", "((x1))", "x0", "x01", "x99", "\u0663",
               "x\u0663", "x1\u0663", "1/\u0663", "$", "x1 $", "t*$", "x1 + * 2"]
+    texts += ["(x1)^2/3", "th[(1/2,0),1]", "x1 x2^2", "2 th[1,1]", "1/ 0", "th[1,1]^2^3",
+              "th^1[1,2]", "th ^ 2 [1,1]", "(x1 + x2 + x3 + 1)^20)", "(x1^4 + 1)^100"]
     texts += ["(" * n + "x1" + ")" * n for n in (99, 100, 101)]
     texts += ["-" * n + "x1" for n in (99, 100, 101)]
     for digits in (LONG, EDGE):

@@ -133,7 +133,7 @@ class Derivation:
         spec = self.domain.genspec
         if f.spec != spec:
             raise CalculusError("element does not live over the derivation's domain")
-        total = TermSum(spec, f.truncated)
+        total = TermSum(spec)
         for beta, poly in f.terms.items():
             # chain rule on the coefficient; base coordinates have degree 0,
             # so no sign appears in front of the second Leibniz summand

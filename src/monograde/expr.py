@@ -20,10 +20,7 @@ its token's position in the same token list.  A bad character, or a
 numeral too long to read, is the first error of any text, found by a scan
 of its symbols.  A term's atom powers fold into one monomial (`_Run`),
 applied in one pass to the words of the term's parenthesised factor, if
-any: a monomial is injective on words and exponents.  The `truncated` flag
-is that of left-to-right `*`: a word longer than the truncation order, or
-an even generator power longer on its own, leaves a flagged zero even if a
-later factor is 0, while a repeated odd generator gives an unflagged zero.
+any: a monomial is injective on words and exponents.
 
 Rendering emits terms sorted by generator word (short words first), then
 by base monomial in descending graded-lexicographic order; this is the only
@@ -107,42 +104,36 @@ def _comb_past(n: int, k: int) -> int:
 class _Run:
     """A term's atom powers: the rational num/den, the base exponent
     shift, and the generator powers (pos, e) in order up to the first
-    factor that makes every term zero (`killed`); `flagged` once an even
-    power passes the truncation order."""
+    factor that makes every term zero (`killed`)."""
 
-    __slots__ = ("num", "den", "shift", "steps", "killed", "flagged")
+    __slots__ = ("num", "den", "shift", "steps", "killed")
 
     def __init__(self):
         self.num = self.den = 1
-        self.shift, self.steps, self.killed, self.flagged = None, [], False, False
+        self.shift, self.steps, self.killed = None, [], False
 
     def add_to(self, total: TermSum, value, negate: bool = False) -> None:
         """Add value (1 for None) times the run, negated when `negate`, into
-        `total`.  In each word an odd repeat drops it unflagged before the
-        length test drops it flagged, as in a product."""
+        `total`.  A word is dropped at an odd repeat or past the
+        truncation order."""
+        if self.killed:
+            return
         spec = total.spec
         parities, swap, n = spec.parities, spec.swap_bits, spec.ngens
-        if self.flagged or value is not None and value.truncated:
-            total.truncated = True
         c = Fraction(-self.num if negate else self.num, self.den)
         exps = tuple(self.shift) if self.shift else (0,) * spec.nvars
         unit = self.shift is None and self.num == self.den
         for beta, poly in [((0,) * n, None)] if value is None else value.terms.items():
             word, length, sign = list(beta), sum(beta), 0
             for pos, e in self.steps:
-                if word[pos] and parities[pos]:
-                    break
                 length += e
-                if length > spec.truncation:
-                    total.truncated = True
+                if word[pos] and parities[pos] or length > spec.truncation:
                     break
                 for h in range(pos + 1, n):  # pos crosses each later generator
                     if word[h]:
                         sign ^= swap[h][pos] * word[h] * e & 1
                 word[pos] += e
             else:
-                if self.killed:
-                    continue
                 slot = total.acc.setdefault(tuple(word), {})
                 if poly is None:
                     add_terms(slot, {exps: -c if sign else c})
@@ -336,10 +327,8 @@ class _Parser:
         if var:
             run.shift = run.shift or [0] * spec.nvars
             run.shift[mu - 1] += e
-        elif spec.parities[pos] and e > 1:
-            run.killed = True  # an odd square is zero before any word grows
-        elif e > spec.truncation:
-            run.killed = run.flagged = True  # a flagged zero whatever it multiplies
+        elif spec.parities[pos] and e > 1 or e > spec.truncation:
+            run.killed = True  # zero whatever it multiplies
         elif e and not run.killed:
             run.steps.append((pos, e))
 

@@ -4,9 +4,7 @@ Elements are finite sums  coefficient * generator-word  with `BasePoly`
 coefficients, kept in a normal form: generator words sorted into canonical
 order with the commutation sign picked up per transposition, squares of
 odd generators annihilated, and words longer than the truncation order
-dropped (with an audit flag recording that a drop happened).  Arithmetic,
-`Morphism.pullback` and `Derivation.apply` keep the flags of their
-arguments.  The terms of an element are stored in no particular order; the
+dropped.  The terms of an element are stored in no particular order; the
 canonical term order (short words first) is applied only when an element
 is rendered.
 
@@ -225,9 +223,9 @@ def _word_product(spec: GeneratorSpec, beta, gamma):
 class GradedElement:
     """A normal-form element of the truncated coordinate algebra."""
 
-    __slots__ = ("spec", "terms", "truncated")
+    __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: GeneratorSpec, terms=None, truncated: bool = False):
+    def __init__(self, spec: GeneratorSpec, terms=None):
         object.__setattr__(self, "spec", spec)
         clean = {}
         if terms:
@@ -243,10 +241,7 @@ class GradedElement:
                 for g, e in enumerate(beta):
                     if e < 0 or (e > 1 and spec.parities[g]):
                         raise AlgebraError("bad exponent %d for generator %d" % (e, g))
-                if poly.is_zero():
-                    continue
-                if sum(beta) > spec.truncation:
-                    truncated = True
+                if poly.is_zero() or sum(beta) > spec.truncation:
                     continue
                 prev = clean.get(beta)
                 total = poly if prev is None else prev + poly
@@ -255,11 +250,9 @@ class GradedElement:
                 else:
                     clean[beta] = total
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "truncated", bool(truncated))
 
     @classmethod
-    def _raw(cls, spec: GeneratorSpec, terms: dict,
-             truncated: bool = False) -> "GradedElement":
+    def _raw(cls, spec: GeneratorSpec, terms: dict) -> "GradedElement":
         """Trusted constructor for results of internal arithmetic: `terms`
         maps admissible exponent vectors no longer than the truncation
         order to nonzero `BasePoly` coefficients over spec.nvars variables,
@@ -267,7 +260,6 @@ class GradedElement:
         element = object.__new__(cls)
         object.__setattr__(element, "spec", spec)
         object.__setattr__(element, "terms", terms)
-        object.__setattr__(element, "truncated", truncated)
         return element
 
     def __setattr__(self, name, value):
@@ -326,8 +318,7 @@ class GradedElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedElement._raw(self.spec, {b: -p for b, p in self.terms.items()},
-                                  self.truncated)
+        return GradedElement._raw(self.spec, {b: -p for b, p in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -359,10 +350,10 @@ class GradedElement:
     def _scale(self, c: Fraction):
         """self * c for a rational c, in one pass over the terms."""
         if not c:
-            return GradedElement._raw(self.spec, {}, self.truncated)
+            return GradedElement._raw(self.spec, {})
         return GradedElement._raw(self.spec, {
             beta: BasePoly._raw(poly.nvars, {exps: coeff * c for exps, coeff in poly.terms.items()})
-            for beta, poly in self.terms.items()}, self.truncated)
+            for beta, poly in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, GradedElement) and self.spec == other.spec
@@ -419,7 +410,7 @@ class GradedElement:
         i = self.spec.grading.check_element(i)
         picked = {b: p for b, p in self.terms.items()
                   if self.spec.word_degree(b) == i}
-        return GradedElement._raw(self.spec, picked, self.truncated)
+        return GradedElement._raw(self.spec, picked)
 
     def degrees(self):
         return {self.spec.word_degree(b) for b in self.terms}
@@ -457,7 +448,7 @@ class GradedElement:
                 continue
             # shifting back is invertible, so a nonzero jet stays nonzero
             acc[beta] = BasePoly._raw(self.spec.nvars, kept).taylor_shift(neg)
-        return GradedElement._raw(self.spec, acc, self.truncated)
+        return GradedElement._raw(self.spec, acc)
 
     def adic_order(self, point):
         """Smallest joint order of any term at the point (word length plus
@@ -475,25 +466,17 @@ class TermSum:
     """A sum of graded terms built in one pass.
 
     Coefficients accumulate in plain dicts (word -> base exponents ->
-    Fraction) and zero coefficients are stripped once, in `element`.  The
-    truncation flag of the sum is set when any added element carries it
-    or a product drops a word longer than the truncation order, exactly
-    as adding the terms one at a time would set it.  `Morphism.pullback`
-    and `Derivation.apply` start the sum with their argument's flag, since
-    a word the argument lost may have contributed to the result.
+    Fraction) and zero coefficients are stripped once, in `element`.
     """
 
-    __slots__ = ("spec", "acc", "truncated")
+    __slots__ = ("spec", "acc")
 
-    def __init__(self, spec: GeneratorSpec, truncated: bool = False):
+    def __init__(self, spec: GeneratorSpec):
         self.spec = spec
         self.acc: dict = {}
-        self.truncated = truncated
 
     def add(self, x: GradedElement, coeff: BasePoly | None = None) -> None:
         """Add coeff * x, with coeff a base polynomial (1 when omitted)."""
-        if x.truncated:
-            self.truncated = True
         acc = self.acc
         for beta, poly in x.terms.items():
             slot = acc.get(beta)
@@ -508,26 +491,22 @@ class TermSum:
         """Add x * y."""
         spec = self.spec
         cap = spec.truncation
-        truncated = x.truncated or y.truncated
         acc = self.acc
         right = [(b2, sum(b2), p2.terms) for b2, p2 in y.terms.items()]
         for b1, p1 in x.terms.items():
             w1 = sum(b1)
             t1 = p1.terms
             for b2, w2, t2 in right:
+                if w1 + w2 > cap:
+                    continue
                 sw = _word_product(spec, b1, b2)
                 if sw is None:
-                    continue
-                if w1 + w2 > cap:
-                    truncated = True
                     continue
                 sign, beta = sw
                 slot = acc.get(beta)
                 if slot is None:
                     slot = acc[beta] = {}
                 add_product(slot, t1, t2, sign)
-        if truncated:
-            self.truncated = True
 
     def element(self) -> GradedElement:
         nvars = self.spec.nvars
@@ -536,4 +515,4 @@ class TermSum:
             slot = strip_zeros(slot)
             if slot:
                 terms[beta] = BasePoly._raw(nvars, slot)
-        return GradedElement._raw(self.spec, terms, self.truncated)
+        return GradedElement._raw(self.spec, terms)

@@ -239,7 +239,7 @@ class Morphism:
         if f.spec != self.target.genspec:
             raise MorphismError("element does not live over the morphism's target")
         src = self.source.genspec
-        total = TermSum(src, f.truncated)
+        total = TermSum(src)
         for beta, poly in f.terms.items():
             term = _substitute(poly, src, self.base_images, self._base_powers)
             powers = [_power(self.gen_images, self._gen_powers, pos, e)

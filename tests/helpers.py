@@ -201,17 +201,17 @@ def mul_oracle(a: GradedElement, b: GradedElement) -> GradedElement:
 
 def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement:
     """Literal nested-loop Taylor sum: partial derivatives composed with the
-    image bodies, times powers of the nilpotent shifts, over factorials."""
+    image bodies, over factorials, times powers of the nilpotent shifts
+    taken one factor at a time through `mul_oracle`."""
     n = g.nvars
     bodies = [y.body() for y in images]
-    shifts = [y - GradedElement.scalar(spec, bodies[mu])
-              for mu, y in enumerate(images)]
+    shifts = [GradedElement(spec, [(b, p) for b, p in y.terms.items() if any(b)])
+              for y in images]
     caps = [g.degree_in(mu + 1) for mu in range(n)]
-    out = GradedElement.zero(spec)
+    items = []
     idx = [0] * n
 
     def walk(mu):
-        nonlocal out
         if mu == n:
             deriv = g
             for nu in range(n):
@@ -219,14 +219,15 @@ def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement
                     deriv = deriv.partial(nu + 1)
             if deriv.is_zero():
                 return
-            coeff = deriv.compose(bodies)
-            term = GradedElement.scalar(spec, coeff)
-            for nu in range(n):
-                term = term * shifts[nu] ** idx[nu]
             scale = Fraction(1)
             for nu in range(n):
                 scale /= factorial(idx[nu])
-            out = out + term._scale(scale)
+            term = GradedElement.scalar(
+                spec, deriv.compose(bodies) * BasePoly.const(spec.nvars, scale))
+            for nu in range(n):
+                for _ in range(idx[nu]):
+                    term = mul_oracle(term, shifts[nu])
+            items.extend(term.terms.items())
             return
         for k in range(caps[mu] + 1):
             idx[mu] = k
@@ -234,7 +235,7 @@ def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement
         idx[mu] = 0
 
     walk(0)
-    return out
+    return GradedElement(spec, items)
 
 
 # -- the sampled range condition in Fraction arithmetic ----------------------

@@ -250,32 +250,28 @@ def atom_runs(draw):
 def test_atom_runs_equal_the_left_to_right_product(run):
     spec, text, factors = run
     expected = reduce(mul, factors)
-    got = parse_element(text, spec)
-    assert got == expected
-    assert got.truncated == expected.truncated
+    assert parse_element(text, spec) == expected
 
 
-# spec index into ATOM_SPECS, text => rendering, truncated flag
+# spec index into ATOM_SPECS, text => rendering
 ATOM_RUN_CASES = [
-    (0, "0*t^3", "0", True),            # an even power past the order, times zero
-    (0, "t*t*t*0", "0", True),          # the word overflows before the zero
-    (0, "0*t*t*t", "0", False),         # the zero stops the word before it overflows
-    (0, "t*u*u", "0", False),           # the odd square kills it before the overflow
-    (0, "t*u*th[1,2]", "0", True),
-    (0, "u^2*t^5", "0", True),
-    (0, "x1^0", "1", False),
-    (0, "t^0*u^0*0^0", "1", False),
-    (0, "th[1,2]*u*x2^2*1/2", "-1/2*x2^2*u*th[1,2]", False),
-    (3, "u*t", "-t*u", False),          # t is even but anticommutes with u
-    (3, "u*t^2", "t^2*u", False),
+    (0, "0*t^3", "0"),            # an even power past the order, times zero
+    (0, "t*t*t*0", "0"),          # the word overflows before the zero
+    (0, "0*t*t*t", "0"),          # the zero stops the word before it overflows
+    (0, "t*u*u", "0"),            # the odd square kills it before the overflow
+    (0, "t*u*th[1,2]", "0"),
+    (0, "u^2*t^5", "0"),
+    (0, "x1^0", "1"),
+    (0, "t^0*u^0*0^0", "1"),
+    (0, "th[1,2]*u*x2^2*1/2", "-1/2*x2^2*u*th[1,2]"),
+    (3, "u*t", "-t*u"),           # t is even but anticommutes with u
+    (3, "u*t^2", "t^2*u"),
 ]
 
 
-@pytest.mark.parametrize("spec_index, text, rendering, truncated", ATOM_RUN_CASES)
-def test_atom_run_flags(spec_index, text, rendering, truncated):
-    element = parse_element(text, ATOM_SPECS[spec_index])
-    assert render_element(element) == rendering
-    assert element.truncated == truncated
+@pytest.mark.parametrize("spec_index, text, rendering", ATOM_RUN_CASES)
+def test_atom_run_renderings(spec_index, text, rendering):
+    assert render_element(parse_element(text, ATOM_SPECS[spec_index])) == rendering
 
 
 ATOM_KINDS = st.sampled_from(["integer", "fraction", "variable"] + ["generator", "name"] * 2)
@@ -367,4 +363,3 @@ def test_parsing_equals_the_operator_evaluation(drawn):
         assert "the limit for an exponent" in str(exc)
         return
     assert got == expected
-    assert got.truncated == expected.truncated

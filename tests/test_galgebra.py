@@ -283,7 +283,7 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 @st.composite
 def units(draw):
     """A nonzero constant plus up to four terms of nonempty words, over a
-    grading shaped like a workload, flagged or not."""
+    grading shaped like a workload."""
     spec = draw(st.sampled_from(WORKLOAD_SPECS))
     monomials = st.tuples(*[st.integers(0, 2)] * spec.nvars)
     polys = st.dictionaries(monomials, RATIONALS, min_size=1, max_size=2).map(
@@ -291,32 +291,27 @@ def units(draw):
     words = st.sampled_from([w for w in spec.words_up_to(spec.truncation) if sum(w)])
     items = draw(st.lists(st.tuples(words, polys), max_size=4))
     c = draw(RATIONALS.filter(bool))
-    return GradedElement(spec, [((0,) * spec.ngens, c)] + items, draw(st.booleans()))
+    return GradedElement(spec, [((0,) * spec.ngens, c)] + items)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(units())
 def test_invert_equals_the_geometric_series_of_raw_products(f):
     # f = c*(1 + u) with u of word length >= 1, so f^-1 = c^-1 * sum of
-    # (-u)^k up to the first zero power; a power is flagged when f is or a
-    # product drops a word, and the inverse when a nonzero power is
+    # (-u)^k up to the first zero power
     spec = f.spec
     cinv = BasePoly.const(spec.nvars, 1 / f.body().constant_value())
     minus_u = GradedElement(spec, [(beta, -p * cinv) for beta, p in f.terms.items() if sum(beta)])
-    power, flagged = GradedElement.one(spec), f.truncated
-    series, series_flagged = [power], False
+    power = GradedElement.one(spec)
+    series = [power]
     for _ in range(spec.truncation):
         power = mul_oracle(power, minus_u)
-        flagged = flagged or power.truncated
         if power.is_zero():
             break
         series.append(power)
-        series_flagged = flagged
     expected = GradedElement(spec, [(beta, p * cinv) for x in series
                                     for beta, p in x.terms.items()])
-    got = f.invert()
-    assert got == expected
-    assert got.truncated == series_flagged
+    assert f.invert() == expected
 
 
 def test_invert_randomized_both_directions():
@@ -402,16 +397,14 @@ def test_separation_by_jets():
                    for p in points)
 
 
-def test_truncation_flag():
+def test_truncation_breaks_the_power_law_in_values():
+    # t^2 survives at truncation 3, but t^2*t^2 = t^4 is dropped
     spec = GeneratorSpec(NatPower(1), 1, [2], truncation=3)
     t = E("th[2,1]", spec)
     sq = t * t
-    assert not sq.truncated
+    assert not sq.is_zero()
     dropped = sq * sq  # word length 4 > 3
     assert dropped.is_zero()
-    assert dropped.truncated
-    exact = t + t
-    assert not exact.truncated
 
 
 @pytest.mark.parametrize("name", ["2", "t-1", "a b", "\u03b8", "", "1t", 5,

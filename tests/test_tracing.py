@@ -44,3 +44,31 @@ def test_tracer_wraps_every_layer(capsys):
     assert metrics["morphism.Morphism_init.calls"] >= 2
     assert metrics["cli.main.self_s"] > 0
     assert metrics["morphism.check_cocycle.self_s"] > 0
+
+
+REPEAT_RUNS = [
+    ["check-hom", "shift", "--session", str(SESSIONS / "morphisms.json")],
+    ["pullback", "square", "x1^2*eta*xi + xi", "--session", str(SESSIONS / "morphisms.json")],
+    ["compose", "shift", "square", "--session", str(SESSIONS / "morphisms.json")],
+    ["verify-atlas", "sign_bundle", "--session", str(SESSIONS / "two_charts.json")],
+]
+
+
+def test_a_traced_run_prints_what_untraced_runs_print(capsys):
+    # untraced, traced, then untraced again, all in one process: installing
+    # and removing the tracer's wrappers changes no exit code and no output
+    tracing = load_tracing()
+    for argv in REPEAT_RUNS:
+        results = []
+        for traced in (False, True, False):
+            tracer = tracing.Tracer()
+            if traced:
+                tracer.install()
+            try:
+                code = cli.main(list(argv))
+            finally:
+                if traced:
+                    tracer.uninstall()
+            results.append((code, capsys.readouterr().out))
+        assert results[0][0] == 0 and results[0][1], argv
+        assert results[1] == results[0] and results[2] == results[0], argv

@@ -3,8 +3,11 @@ must be exactly what the validating constructor would have built.
 
 Every result of + - * ** invert, pullback and Derivation.apply is compared
 with its re-validated copy, checked for stored zeros and over-long words,
-and its truncation flag is compared with a reference that builds the same
-terms one at a time and sums them with the public constructor.
+and compared with a reference that builds the same terms one at a time and
+sums them with the public constructor.  The references of pullback and
+apply take every graded product over raw occurrence words (`mul_oracle`)
+and continue coefficients by the Taylor sum (`taylor_sum_oracle`), so they
+share no graded multiplication code with the library.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from monograde import (BasePoly, CyclicProduct, DomainSpec, Derivation,
 from monograde.grading import KGroupElement
 from monograde.sampling import random_poly
 
-from helpers import mul_oracle, qk_model, random_gen_image
+from helpers import mul_oracle, qk_model, random_gen_image, taylor_sum_oracle
 
 SPECS = (
     # odd and even generators, a base variable; truncation small enough
@@ -48,23 +51,24 @@ def elements(draw, spec):
     words = spec.words_up_to(spec.truncation)
     items = draw(st.lists(st.tuples(st.sampled_from(words), polys(spec.nvars)),
                           max_size=4))
-    return GradedElement(spec, items, truncated=draw(st.booleans()))
+    return GradedElement(spec, items)
 
 
 spec_index = st.integers(0, len(SPECS) - 1)
 
 
-def sum_by_terms(spec, terms, truncated=False):
+def sum_by_terms(spec, terms):
     """The sum of elements, built by the validating constructor."""
-    items = [kv for t in terms for kv in t.terms.items()]
-    return GradedElement(spec, items,
-                         truncated=truncated or any(t.truncated for t in terms))
+    return GradedElement(spec, [kv for t in terms for kv in t.terms.items()])
+
+
+def negated(x):
+    return GradedElement(x.spec, {w: -p for w, p in x.terms.items()})
 
 
 def assert_trusted(x, reference):
     spec = x.spec
-    again = GradedElement(spec, x.terms, x.truncated)
-    assert again == x and again.truncated == x.truncated
+    assert GradedElement(spec, x.terms) == x
     for beta, poly in x.terms.items():
         assert len(beta) == spec.ngens and sum(beta) <= spec.truncation
         assert all(e <= 1 for e, odd in zip(beta, spec.parities) if odd)
@@ -72,13 +76,6 @@ def assert_trusted(x, reference):
         assert poly.terms, "zero coefficient stored"
         assert all(isinstance(c, Fraction) and c for c in poly.terms.values())
     assert x == reference
-    assert x.truncated == reference.truncated
-
-
-def product_by_terms(a, b):
-    """Term-by-term product: raw words concatenated and renormalized."""
-    out = mul_oracle(a, b)
-    return sum_by_terms(a.spec, [out], a.truncated or b.truncated)
 
 
 @SETTINGS
@@ -88,19 +85,16 @@ def test_ring_operations_match_validated_construction(data, k):
     a = data.draw(elements(spec))
     b = data.draw(elements(spec))
     assert_trusted(a + b, sum_by_terms(spec, [a, b]))
-    assert_trusted(a - b, sum_by_terms(
-        spec, [a, GradedElement(spec, {w: -p for w, p in b.terms.items()},
-                                b.truncated)]))
-    assert_trusted(-a, GradedElement(spec, {w: -p for w, p in a.terms.items()},
-                                     a.truncated))
-    assert_trusted(a * b, product_by_terms(a, b))
+    assert_trusted(a - b, sum_by_terms(spec, [a, negated(b)]))
+    assert_trusted(-a, negated(a))
+    assert_trusted(a * b, mul_oracle(a, b))
     # repeated squaring, replayed with the term-by-term product
     for k in range(4):
         result, base, e = GradedElement.one(spec), a, k
         while e:
             if e & 1:
-                result = product_by_terms(result, base)
-            base = product_by_terms(base, base)
+                result = mul_oracle(result, base)
+            base = mul_oracle(base, base)
             e >>= 1
         assert_trusted(a ** k, result)
 
@@ -111,13 +105,12 @@ def test_ring_operations_match_validated_construction(data, k):
 def test_invert_matches_validated_construction(data, k, c):
     spec = SPECS[k]
     nil = data.draw(elements(spec))
-    nil = GradedElement(spec, {w: p for w, p in nil.terms.items() if sum(w)},
-                        nil.truncated)
+    nil = GradedElement(spec, {w: p for w, p in nil.terms.items() if sum(w)})
     f = nil + c
-    u = sum_by_terms(spec, [nil]) * (1 / c)
+    u = nil * (1 / c)
     terms, power = [GradedElement.one(spec)], GradedElement.one(spec)
     for n in range(1, spec.truncation + 1):
-        power = product_by_terms(power, u)
+        power = mul_oracle(power, u)
         if power.is_zero():
             break
         terms.append(power * (-1) ** n)
@@ -131,24 +124,18 @@ def test_invert_matches_validated_construction(data, k, c):
 
 
 def pullback_by_terms(m, f):
-    """The pullback term by term: each coefficient continued monomial by
-    monomial, then multiplied left to right by the generator images."""
+    """The pullback term by term: each coefficient continued by the Taylor
+    sum, then multiplied left to right by the generator images, one
+    occurrence at a time."""
     src = m.source.genspec
     terms = []
     for beta, poly in f.terms.items():
-        monomials = []
-        for exps, c in poly.terms.items():
-            mono = GradedElement.scalar(src, c)
-            for mu, e in enumerate(exps):
-                if e:
-                    mono = mono * m.base_images[mu] ** e
-            monomials.append(mono)
-        term = sum_by_terms(src, monomials)
+        term = taylor_sum_oracle(poly, m.base_images, src)
         for pos, e in enumerate(beta):
-            if e:
-                term = term * m.gen_images[pos] ** e
+            for _ in range(e):
+                term = mul_oracle(term, m.gen_images[pos])
         terms.append(term)
-    return sum_by_terms(src, terms, f.truncated)
+    return sum_by_terms(src, terms)
 
 
 def endomorphism(rng, spec):
@@ -179,8 +166,7 @@ def test_pullback_matches_validated_construction(data, k, seed):
     assert_trusted(first, pullback_by_terms(m, f))
     assert_trusted(m.pullback(g), pullback_by_terms(m, g))
     # the image powers are now cached; the answer must not change
-    again = m.pullback(f)
-    assert again == first and again.truncated == first.truncated
+    assert m.pullback(f) == first
 
 
 def derivations(spec):
@@ -208,11 +194,11 @@ def apply_by_terms(D, f):
     grading = spec.grading
     one = BasePoly.const(spec.nvars, 1)
 
-    def word(occ):
+    def word(occ, coeff=one):
         beta = [0] * spec.ngens
         for g in occ:
             beta[g] += 1
-        return GradedElement(spec, {tuple(beta): one})
+        return GradedElement(spec, {tuple(beta): coeff})
 
     def leibniz(occ):
         if not occ:
@@ -221,9 +207,9 @@ def apply_by_terms(D, f):
         deg = spec.generators[g].degree
         sign = (grading.parity(grading.mul(D.degree.pos, deg))
                 + grading.parity(grading.mul(D.degree.neg, deg))) % 2
-        head = D.gen_values[g] * word(rest)
-        tail = GradedElement.gen(spec, g) * leibniz(rest)
-        return head - tail if sign else head + tail
+        head = mul_oracle(D.gen_values[g], word(rest))
+        tail = mul_oracle(GradedElement.gen(spec, g), leibniz(rest))
+        return sum_by_terms(spec, [head, negated(tail) if sign else tail])
 
     terms = []
     for beta, poly in f.terms.items():
@@ -231,11 +217,11 @@ def apply_by_terms(D, f):
         for mu in range(spec.nvars):
             dv, dp = D.base_values[mu], poly.partial(mu + 1)
             if not dv.is_zero() and not dp.is_zero():
-                terms.append(GradedElement.scalar(spec, dp) * dv * word(occ))
+                terms.append(mul_oracle(dv, word(occ, dp)))
         wd = leibniz(occ)
         if not wd.is_zero():
-            terms.append(GradedElement.scalar(spec, poly) * wd)
-    return sum_by_terms(spec, terms, f.truncated)
+            terms.append(mul_oracle(GradedElement.scalar(spec, poly), wd))
+    return sum_by_terms(spec, terms)
 
 
 @SETTINGS

@@ -115,8 +115,11 @@ def error_texts() -> list:
     tests/test_cli.py alone and in every pair, bad generator references,
     zero and missing denominators, '^' without a number, adjacent atoms,
     deep nesting, token boundaries of numbers and of atoms with their
-    exponents, a failing text with a large power, and numerals past and at
-    the digit limit in every numeric position."""
+    exponents, a failing text with a large power, the ways a term's atom
+    run becomes zero (a power past the truncation order, a word that passes
+    it, a zero factor, an odd square) on the generators of geometric.json
+    and qk_model.json, and numerals past and at the digit limit in every
+    numeric position."""
     texts = list(EXPR_PIECES) + [a + b for a in EXPR_PIECES for b in EXPR_PIECES]
     texts += ["th[", "th[1", "th[1,", "th[1,1", "th[1,1]]", "th[,1]", "th[(1,0,1]",
               "th[(1,0),]", "th[1,1)", "th[- 1,1]", "th[--1,1]", "th [ 1 , 1 ]", "th[1 1]",
@@ -130,6 +133,8 @@ def error_texts() -> list:
               "x\u0663", "x1\u0663", "1/\u0663", "$", "x1 $", "t*$", "x1 + * 2"]
     texts += ["(x1)^2/3", "th[(1/2,0),1]", "x1 x2^2", "2 th[1,1]", "1/ 0", "th[1,1]^2^3",
               "th^1[1,2]", "th ^ 2 [1,1]", "(x1 + x2 + x3 + 1)^20)", "(x1^4 + 1)^100"]
+    texts += ["t^5", "0*t^5", "t*t*t*t*t*0", "t^2*(t^3)", "(t^2)^3", "theta*theta*phi",
+              "psi*theta*psi", "phi^7", "phi^3*phi^4"]
     texts += ["(" * n + "x1" + ")" * n for n in (99, 100, 101)]
     texts += ["-" * n + "x1" for n in (99, 100, 101)]
     for digits in (LONG, EDGE):

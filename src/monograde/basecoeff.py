@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 
 class BasePoly:
@@ -227,19 +227,19 @@ class BasePoly:
         return self.compose(shifted)
 
 
-def power(x, k: int, one):
-    """x**k by square-and-multiply, `one` for k = 0.  It squares only while
-    a higher bit of k is left: bit_length + popcount - 2 products."""
+def power(x, k: int, one, mul=mul):
+    """x**k by square-and-multiply with `mul`, `one` for k = 0.  It squares
+    only while a higher bit of k is left: bit_length + popcount - 2 products."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a natural number")
     result = None
     while True:
         if k & 1:
-            result = x if result is None else result * x
+            result = x if result is None else mul(result, x)
         k >>= 1
         if not k:
             return one if result is None else result
-        x = x * x
+        x = mul(x, x)
 
 
 # -- exact evaluation in integers -------------------------------------------------

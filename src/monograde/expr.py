@@ -20,7 +20,8 @@ its token's position in the same token list.  A bad character, or a
 numeral too long to read, is the first error of any text, found by a scan
 of its symbols.  A term's atom powers fold into one monomial (`_Run`),
 applied in one pass to the words of the term's parenthesised factor, if
-any: a monomial is injective on words and exponents.
+any.  Words multiply through `galgebra._word_product`, the one place that
+decides the sign, the zero of a repeated odd generator and the truncation.
 
 Rendering emits terms sorted by generator word (short words first), then
 by base monomial in descending graded-lexicographic order; this is the only
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import comb, lcm, log10
 
 from .basecoeff import BasePoly, add_product, add_terms
-from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum
+from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum, _word_product
 from .grading import FiniteTable, GradingError, NatPower, format_number
 
 
@@ -103,45 +104,41 @@ def _comb_past(n: int, k: int) -> int:
 
 class _Run:
     """A term's atom powers: the rational num/den, the base exponent
-    shift, and the generator powers (pos, e) in order up to the first
-    factor that makes every term zero (`killed`)."""
+    shift, and the generator powers multiplied into one signed word
+    (sign bit, exponents), None without a generator.  A zero product of
+    generator powers makes num 0."""
 
-    __slots__ = ("num", "den", "shift", "steps", "killed")
+    __slots__ = ("num", "den", "shift", "word")
 
     def __init__(self):
         self.num = self.den = 1
-        self.shift, self.steps, self.killed = None, [], False
+        self.shift = self.word = None
 
     def add_to(self, total: TermSum, value, negate: bool = False) -> None:
         """Add value (1 for None) times the run, negated when `negate`, into
-        `total`.  A word is dropped at an odd repeat or past the
-        truncation order."""
-        if self.killed:
+        `total`: each word of value times the run's word, in that order."""
+        if not self.num:
             return
         spec = total.spec
-        parities, swap, n = spec.parities, spec.swap_bits, spec.ngens
         c = Fraction(-self.num if negate else self.num, self.den)
         exps = tuple(self.shift) if self.shift else (0,) * spec.nvars
+        run_sign, gamma = self.word or (0, None)
+        if value is None:
+            add_terms(total.acc.setdefault(gamma or (0,) * spec.ngens, {}),
+                      {exps: -c if run_sign else c})
+            return
         unit = self.shift is None and self.num == self.den
-        for beta, poly in [((0,) * n, None)] if value is None else value.terms.items():
-            word, length, sign = list(beta), sum(beta), 0
-            for pos, e in self.steps:
-                length += e
-                if word[pos] and parities[pos] or length > spec.truncation:
-                    break
-                for h in range(pos + 1, n):  # pos crosses each later generator
-                    if word[h]:
-                        sign ^= swap[h][pos] * word[h] * e & 1
-                word[pos] += e
+        for beta, poly in value.terms.items():
+            product = (0, beta) if gamma is None else _word_product(spec, beta, gamma)
+            if product is None:
+                continue
+            sign = product[0] ^ run_sign
+            slot = total.acc.setdefault(product[1], {})
+            if unit:
+                add_terms(slot, poly.terms if sign == negate
+                          else {x: -q for x, q in poly.terms.items()})
             else:
-                slot = total.acc.setdefault(tuple(word), {})
-                if poly is None:
-                    add_terms(slot, {exps: -c if sign else c})
-                elif unit:
-                    add_terms(slot, poly.terms if sign == negate
-                              else {x: -q for x, q in poly.terms.items()})
-                else:
-                    add_product(slot, {exps: c}, poly.terms, sign)
+                add_product(slot, {exps: c}, poly.terms, sign)
 
 
 class _Parser:
@@ -302,7 +299,6 @@ class _Parser:
                 n, d = q.numerator, q.denominator
             run.num *= n
             run.den *= d
-            run.killed = run.killed or not n
             return
         if deg:
             pos = spec._parsed.get(tok[2:4])
@@ -327,10 +323,13 @@ class _Parser:
         if var:
             run.shift = run.shift or [0] * spec.nvars
             run.shift[mu - 1] += e
-        elif spec.parities[pos] and e > 1 or e > spec.truncation:
-            run.killed = True  # zero whatever it multiplies
-        elif e and not run.killed:
-            run.steps.append((pos, e))
+        elif run.num:
+            sign, word = run.word or (0, (0,) * spec.ngens)
+            product = _word_product(spec, word, (0,) * pos + (e,) + (0,) * (len(word) - pos - 1))
+            if product is None:
+                run.num = 0
+            else:
+                run.word = (sign ^ product[0], product[1])
 
     def signed_int(self) -> int:
         neg = self.accept("-")

@@ -4,9 +4,11 @@ Elements are finite sums  coefficient * generator-word  with `BasePoly`
 coefficients, kept in a normal form: generator words sorted into canonical
 order with the commutation sign picked up per transposition, squares of
 odd generators annihilated, and words longer than the truncation order
-dropped.  The terms of an element are stored in no particular order; the
-canonical term order (short words first) is applied only when an element
-is rendered.
+dropped.  For a product of two words these three rules are decided in one
+place, `_word_product`, through which `*` and the expression parser
+multiply words.  The terms of an element are stored in no particular
+order; the canonical term order (short words first) is applied only when
+an element is rendered.
 
 Outside input goes through the validating `GradedElement` constructor.
 Results of internal arithmetic are assembled by `TermSum`, which adds and
@@ -201,7 +203,9 @@ class GeneratorSpec:
 
 def _word_product(spec: GeneratorSpec, beta, gamma):
     """Sign bit and exponent vector of word(beta) * word(gamma), or None
-    when an odd generator gets repeated."""
+    when an odd generator repeats or the word passes the truncation order."""
+    if sum(beta) + sum(gamma) > spec.truncation:
+        return None
     sign = 0
     out = []
     swap = spec.swap_bits
@@ -214,7 +218,7 @@ def _word_product(spec: GeneratorSpec, beta, gamma):
         if cg:
             # each occurrence of g from the right factor crosses every
             # occurrence of a strictly later generator in the left factor
-            for h in range(g + 1, spec.ngens):
+            for h in range(g + 1, len(beta)):
                 if beta[h]:
                     sign ^= (swap[h][g] * beta[h] * cg) & 1
     return sign, tuple(out)
@@ -490,15 +494,11 @@ class TermSum:
     def add_product(self, x: GradedElement, y: GradedElement) -> None:
         """Add x * y."""
         spec = self.spec
-        cap = spec.truncation
         acc = self.acc
-        right = [(b2, sum(b2), p2.terms) for b2, p2 in y.terms.items()]
+        right = [(b2, p2.terms) for b2, p2 in y.terms.items()]
         for b1, p1 in x.terms.items():
-            w1 = sum(b1)
             t1 = p1.terms
-            for b2, w2, t2 in right:
-                if w1 + w2 > cap:
-                    continue
+            for b2, t2 in right:
                 sw = _word_product(spec, b1, b2)
                 if sw is None:
                     continue

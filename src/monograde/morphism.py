@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .basecoeff import BasePoly, integer_form, integer_point, integer_value
+from .basecoeff import BasePoly, integer_form, integer_point, integer_value, power
 from .galgebra import GeneratorSpec, GradedElement, TermSum
 from .grading import format_number
 from .reporting import CheckReport
@@ -30,6 +30,13 @@ DEFAULT_RANGE_SAMPLES = 12
 # ten bounded axes, 3^10 grid points, is within it.
 MAX_RANGE_BITS = 1 << 18
 MAX_RANGE_WORK = 1 << 29
+
+# A substitution (`pullback`, `compose`, `continuation`) is refused before
+# a product of two elements whose base terms make more than
+# MAX_PRODUCT_PAIRS pairs, at about 3 us a pair: at the limit the product
+# takes about 0.8 s (2-vCPU VM, Python 3.11).  The benchmark's products
+# make at most 336 pairs.
+MAX_PRODUCT_PAIRS = 1 << 18
 
 
 class MorphismError(ValueError):
@@ -139,11 +146,24 @@ def continuation(g: BasePoly, images) -> GradedElement:
     return _substitute(g, spec, images, {})
 
 
+def _check_pairs(x: GradedElement, y: GradedElement) -> None:
+    """Refuse x * y when its base terms make more than MAX_PRODUCT_PAIRS pairs."""
+    if (sum([len(p.terms) for p in x.terms.values()])
+            * sum([len(p.terms) for p in y.terms.values()]) > MAX_PRODUCT_PAIRS):
+        raise MorphismError("a substitution needs a product of more than %d pairs of "
+                            "terms, the limit for a product" % MAX_PRODUCT_PAIRS)
+
+
+def _times(x: GradedElement, y: GradedElement) -> GradedElement:
+    _check_pairs(x, y)
+    return x * y
+
+
 def _power(images, cache: dict, i: int, e: int) -> GradedElement:
     """images[i] ** e, memoized in cache under (i, e)."""
     p = cache.get((i, e))
     if p is None:
-        p = cache[(i, e)] = images[i] ** e
+        p = cache[(i, e)] = power(images[i], e, GradedElement.one(images[i].spec), _times)
     return p
 
 
@@ -156,7 +176,7 @@ def _substitute(g: BasePoly, spec: GeneratorSpec, images, cache: dict) -> Graded
         for mu, e in enumerate(exps):
             if e:
                 p = _power(images, cache, mu, e)
-                term = p if term is None else term * p
+                term = p if term is None else _times(term, p)
         if term is None:
             term = GradedElement.one(spec)
         total.add(term, BasePoly.const(spec.nvars, coeff))
@@ -250,7 +270,8 @@ class Morphism:
             # multiply left to right, as the term is written, and let the
             # last product land in the sum directly
             for p in powers[:-1]:
-                term = term * p
+                term = _times(term, p)
+            _check_pairs(term, powers[-1])
             total.add_product(term, powers[-1])
         return total.element()
 

@@ -101,19 +101,29 @@ def _box(value, nvars):
     return out
 
 
+def _components(value, what: str) -> int:
+    """The integer component count of a grading, refused past MAX_COMPONENTS."""
+    n = _int(value, what)
+    if n > MAX_COMPONENTS:
+        raise SessionError("%s is more than %d, the limit for a grading" % (what, MAX_COMPONENTS))
+    return n
+
+
 def _grading(data):
     if not isinstance(data, dict) or "kind" not in data:
         raise SessionError("grading section needs a 'kind'")
     kind = data["kind"]
     try:
         if kind == "nat_power":
-            return NatPower(_int(data["k"], "grading size k"))
+            return NatPower(_components(data["k"], "grading size k"))
         if kind == "int_power":
-            return IntPower(_int(data["k"], "grading size k"))
+            return IntPower(_components(data["k"], "grading size k"))
         if kind == "z2_power":
-            return Z2Power(_int(data["n"], "grading size n"))
+            return Z2Power(_components(data["n"], "grading size n"))
         if kind == "cyclic_product":
-            return CyclicProduct([_int(q, "cyclic order") for q in data["orders"]])
+            orders = [_int(q, "cyclic order") for q in data["orders"]]
+            _components(len(orders), "number of cyclic orders")
+            return CyclicProduct(orders)
         if kind == "finite_table":
             return FiniteTable(data["table"], data["parity"],
                                mul_table=data.get("mul"),
@@ -152,11 +162,13 @@ def _exprs(entry: dict, field: str, spec: GeneratorSpec, what: str) -> list:
     return [_parse(t, spec, "%s %s" % (what, field)) for t in _list(entry, field, what)]
 
 
-# Bounds checked before any word or exponent tuple is built.  At them, on
-# geometric.json, `invert g` takes 0.5 s at truncation 256 and `invert f`
-# 0.24 s over 1000 variables, as over none.
+# Bounds checked before any word, exponent or degree tuple is built.  At
+# them, on geometric.json, `invert g` takes 0.5 s at truncation 256 and
+# `invert f` 0.24 s over 1000 variables, as over none; a grading of
+# 100,000 components makes `check-monoid` a 0.2-0.5 s process.
 MAX_TRUNCATION = 256
 MAX_VARS = 1000
+MAX_COMPONENTS = 100_000
 
 # the library errors that make an entry an input error, prefixed with the entry
 _ENTRY_ERRORS = (GradingError, AlgebraError, MorphismError, CalculusError)

@@ -49,12 +49,17 @@ def qk_model(truncation=6):
 # and big.json) at truncation 3 and 6, and at 2, where short products
 # repeat an odd generator in the step that passes the order; nat_power k=2
 # with named generators (the QK models of calculus-scaled); and z2_power
-# n=2 (pullback-scaled).
+# n=2 (pullback-scaled).  The last is int_power k=2 with an even generator
+# `a` of degree (1,1), which squares to nonzero and comes before the odd
+# ones of degree (1,2) in canonical order, yet anticommutes with them: the
+# product (1,1)*(1,2) = (1,2) is odd.
 WORKLOAD_SPECS = [
     GeneratorSpec(IntPower(1), 2, [1, 1, -1, 2, -2], truncation=n) for n in (2, 3, 6)] + [
     GeneratorSpec(NatPower(2), 2, [(0, 1), (1, 0), (1, 1), (2, 0)], truncation=4,
                   names=["theta", "psi", "phi", "eta"]),
-    GeneratorSpec(Z2Power(2), 3, [(1, 0), (1, 0), (0, 1), (1, 1)], truncation=4)]
+    GeneratorSpec(Z2Power(2), 3, [(1, 0), (1, 0), (0, 1), (1, 1)], truncation=4),
+    GeneratorSpec(IntPower(2), 1, [(1, 2), (1, 1), (1, 2)], truncation=3,
+                  names=["b", "a", None])]
 
 
 # -- independent oracles -----------------------------------------------------

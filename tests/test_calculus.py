@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from monograde import (BasePoly, Derivation, DescentSequence, GeneratorSpec,
                        GradedElement, IntPower, NatPower, NotQClosed, bracket,
                        check_descent, check_exact, check_lie_axioms,
-                       k_sequence, parse_element, qk_verify)
+                       k_sequence, parse_element, qk_verify, render_element)
 from monograde import calculus
 from monograde.calculus import CalculusError
 from monograde.grading import (IntPower, KGroupElement, NatPower, k_element, k_eq, k_mul,
@@ -462,6 +462,15 @@ def test_k_sequence_normalizes_factorials():
     seq = k_sequence(Q, K, d, theta, pmax=4)
     assert len(seq) == 5
     assert all(e.is_zero() for e in seq.entries[2:])
+
+
+def test_k_sequence_divides_by_p_factorial():
+    # K = d/dx on the seed x^3*th2 gives K^p O(0) / p! = comb(3, p) x^(3-p) th2,
+    # nonzero up to p = 3: dividing by anything but p changes O(2) and on
+    spec, dom, (x, th1, th2), (d_x, d_th1, d_th2) = pair_setup()
+    seq = k_sequence(d_th1, d_x, d_th2, x ** 3 * th2)
+    assert [render_element(e) for e in seq] == [
+        "x1^3*th[1,2]", "3*x1^2*th[1,2]", "3*x1*th[1,2]", "th[1,2]", "0"]
 
 
 def test_k_sequence_constant_seed():

@@ -2,8 +2,11 @@
 
 import copy
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -376,6 +379,13 @@ def one_derivation_session(gen_degree, degree, base_value):
                                   "base_values": [base_value], "generator_values": ["0"]}}}
 
 
+def open_session(images, nvars):
+    """unit_box_session with unbounded axes, which no range check reads."""
+    data = unit_box_session(images, nvars)
+    del data["domains"]["U"]["box"]
+    return data
+
+
 def shift_image_session(image):
     data = json.loads((SESSIONS / "morphisms.json").read_text())
     data["morphisms"]["shift"]["base_images"] = [image]
@@ -416,6 +426,14 @@ WORD_SUM = "(th[2,1]+th[2,2]+th[2,3]+th[2,4]+1)^%d"
 TRUNCATION = "truncation is more than 256, the limit for a session"
 VARS = "domain 'U': vars is more than 1000, the limit for a domain"
 TERMS = "a power may have more than 2000 terms, the limit for an exponent (at position 36)"
+PAIRS = ("a substitution needs a product of more than 262144 pairs of terms, "
+         "the limit for a product")
+# x1 -> a sum of 512 (513) monomials: the square of the image is a product
+# of 262144 (263169) pairs of terms
+SUM_512 = " + ".join("x1^%d" % k for k in range(512))
+SUM_512_SQUARED = " + ".join(
+    ("%d*" % c if c > 1 else "") + ("x1^%d" % k if k > 1 else "x1")
+    for k in range(1022, 0, -1) for c in [min(k, 1022 - k) + 1]) + " + 1"
 TWO_CHARTS = json.loads((SESSIONS / "two_charts.json").read_text())
 QK_MODEL = json.loads((SESSIONS / "qk_model.json").read_text())
 IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
@@ -435,6 +453,10 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
     (unit_box_session(IDENTITY, nvars=11), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
     (unit_box_session(["x1"], samples=232007), ("check-monoid",), "morphism 'm': " + RANGE_WORK),
     (unit_box_session(["x1^229"]), ("compose", "m", "m"), RANGE_BITS),
+    # comb(403, 3) base monomials: these pullbacks used to run for minutes
+    (open_session(["(x1 + x2 + x3 + 1)^20", "x2", "x3"], 3), ("compose", "m", "m"), PAIRS),
+    (open_session(["(x1 + x2 + x3 + 1)^20", "x2", "x3"], 3), ("pullback", "m", "x1^20"), PAIRS),
+    (open_session([SUM_512 + " + x1^512"], 1), ("pullback", "m", "x1^2"), PAIRS),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "65"),
      "pmax is more than 64, the limit for a descent tower"),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "100000000"),
@@ -447,8 +469,9 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
     (EVEN_WORDS, ("normalize", WORD_SUM % 60, "--domain", "U"), TERMS),
 ], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
         "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
-        "range-samples", "composite-degree", "pmax", "pmax-huge", "truncation",
-        "truncation-huge", "vars", "vars-huge", "word-power", "word-power-huge"])
+        "range-samples", "composite-degree", "composite-pairs", "pullback-pairs", "product-pairs",
+        "pmax", "pmax-huge", "truncation", "truncation-huge", "vars", "vars-huge", "word-power",
+        "word-power-huge"])
 def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
     start = time.perf_counter()
     with int_digit_limit(4300):
@@ -467,15 +490,55 @@ def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, mess
     (unit_box_session(IDENTITY[:10], nvars=10), ("underlying", "m"), "x1 -> x1"),
     (unit_box_session(["x1"], samples=232006), ("underlying", "m"), "x1 -> x1"),
     (unit_box_session(["x1^228"]), ("compose", "m", "m"), "x1 -> x1^51984"),
+    # products of one pair of terms, however high their degree
+    ({"format": 1, "grading": {"kind": "nat_power", "k": 1},
+      "domains": {"U": {"vars": 1, "generators": [{"degree": 1, "name": "theta"}]}},
+      "morphisms": {"m": {"source": "U", "target": "U", "base_images": ["x1^210"],
+                          "generator_images": ["theta"]}}},
+     ("compose", "m", "m"), "x1 -> x1^44100"),
+    (open_session([SUM_512], 1), ("pullback", "m", "x1^2"), SUM_512_SQUARED),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "64"), "O(0) = theta"),
     (geometric_session(truncation=256), ("normalize", "t^256", "--domain", "U"), "t^256"),
     (geometric_session(nvars=1000), ("normalize", "x1000*t", "--domain", "U"), "x1000*t"),
+    ({"format": 1, "grading": {"kind": "nat_power", "k": 100_000}, "domains": {"U": {"vars": 1}}},
+     ("normalize", "x1 + 1"), "x1 + 1"),
 ], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",
-        "composite-degree", "pmax", "truncation", "vars"])
+        "composite-degree", "composite-monomial", "product-pairs", "pmax", "truncation", "vars",
+        "grading-components"])
 def test_a_run_just_within_a_limit_succeeds(tmp_path, capsys, data, argv, first_line):
     with int_digit_limit(4300):
         code, out, err = run_session(tmp_path, capsys, data, *argv)
     assert (code, out.splitlines()[0], err) == (0, first_line, "")
+
+
+def limited_address_space():
+    """Cap a child's address space at 1 GiB, so that a run that builds a
+    huge tuple ends in a MemoryError instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("grading, what", [
+    ({"kind": "z2_power", "n": 10 ** 8}, "grading size n"),
+    ({"kind": "nat_power", "k": 10 ** 9}, "grading size k"),
+    ({"kind": "int_power", "k": 100_001}, "grading size k"),
+    ({"kind": "cyclic_product", "orders": [2] * 100_001}, "number of cyclic orders"),
+], ids=["z2-power", "nat-power", "int-power", "cyclic-product"])
+@pytest.mark.parametrize("argv", [("check-monoid",), ("normalize", "1")])
+def test_a_grading_past_the_component_limit_is_an_input_error(tmp_path, grading, what, argv):
+    # in a child process: without the limit these runs built tuples of
+    # 10^8 or 10^9 entries and ended in a MemoryError traceback
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"format": 1, "grading": grading,
+                                "domains": {"U": {"vars": 1}}}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "monograde.cli", *argv, "--session", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=limited_address_space)
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: %s is more than 100000, the limit for a grading\n" % what
+    assert "Traceback" not in done.stderr
 
 
 def test_a_word_power_just_within_the_budget_is_computed(tmp_path, capsys):

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monograde import (ExprError, GeneratorSpec, GradedElement, IntPower,
+from monograde import (BasePoly, ExprError, GeneratorSpec, GradedElement, IntPower,
                        NatPower, parse_element, parse_poly, render_element,
                        render_poly)
 from monograde.expr import render_generator
 from monograde.sampling import random_element
 
-from helpers import WORKLOAD_SPECS, nat1_spec, rich_int_spec
+from helpers import WORKLOAD_SPECS, from_raw_terms, nat1_spec, rich_int_spec
 
 
 def test_parse_basic_terms():
@@ -363,3 +363,66 @@ def test_parsing_equals_the_operator_evaluation(drawn):
         assert "the limit for an exponent" in str(exc)
         return
     assert got == expected
+
+
+# The sign shape that a parser sharing `*`'s word product cannot check
+# against `*`: an even generator before an odd one it anticommutes with.
+SIGN_SHAPE = WORKLOAD_SPECS[-1]
+
+
+def raw_atom(draw, spec):
+    """(text, raw terms) of an atom power: its (coefficient, occurrence
+    word) pairs, built without the parser and without `*`."""
+    e = draw(st.integers(0, spec.truncation + 1))
+    kind = draw(st.sampled_from(["number", "variable", "generator", "generator"]))
+    if kind == "number":
+        n = draw(st.integers(0, 3))
+        return "%d^%d" % (n, e), [(BasePoly.const(spec.nvars, n ** e), [])]
+    if kind == "variable":
+        mu = draw(st.integers(1, spec.nvars))
+        exps = tuple(e if k == mu - 1 else 0 for k in range(spec.nvars))
+        return "x%d^%d" % (mu, e), [(BasePoly(spec.nvars, {exps: 1}), [])]
+    pos = draw(st.integers(0, spec.ngens - 1))
+    return "%s^%d" % (render_generator(spec, pos), e), [(BasePoly.const(spec.nvars, 1),
+                                                         [pos] * e)]
+
+
+def raw_signed_sum(draw, part):
+    """(text, raw terms) of one to three drawn parts, each signed."""
+    texts, raw = [], []
+    for i in range(draw(st.integers(1, 3))):
+        text, terms = part()
+        minus = draw(st.booleans())
+        texts.append(("- " if minus else "+ " if i else "") + text)
+        raw += [(-c if minus else c, word) for c, word in terms]
+    return " ".join(texts), raw
+
+
+def raw_factor(draw, spec):
+    """(text, raw terms) of an atom power or a parenthesised sum of them."""
+    if draw(st.booleans()):
+        return raw_atom(draw, spec)
+    text, raw = raw_signed_sum(draw, lambda: raw_atom(draw, spec))
+    return "(%s)" % text, raw
+
+
+def raw_product(draw, spec):
+    """(text, raw terms) of one to four factors: a product concatenates
+    the occurrence words of its factors."""
+    text, terms = raw_factor(draw, spec)
+    for _ in range(draw(st.integers(0, 3))):
+        more, factor = raw_factor(draw, spec)
+        text, terms = text + "*" + more, [(c * d, w + v) for c, w in terms for d, v in factor]
+    return text, terms
+
+
+@st.composite
+def raw_sums(draw, spec):
+    return raw_signed_sum(draw, lambda: raw_product(draw, spec))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw_sums(SIGN_SHAPE))
+def test_parsing_equals_the_sorted_raw_words(drawn):
+    text, raw = drawn
+    assert parse_element(text, SIGN_SHAPE) == from_raw_terms(SIGN_SHAPE, raw)

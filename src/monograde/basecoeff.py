@@ -156,17 +156,6 @@ class BasePoly:
         """Largest term degree, 0 for the zero polynomial."""
         return max(map(sum, self.terms), default=0)
 
-    def min_degree(self):
-        """Smallest term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
-    def degree_in(self, mu: int) -> int:
-        if not 1 <= mu <= self.nvars:
-            raise ValueError("variable index out of range")
-        return max((e[mu - 1] for e in self.terms), default=0)
-
     # -- calculus ----------------------------------------------------------
 
     def partial(self, mu: int) -> "BasePoly":
@@ -214,18 +203,6 @@ class BasePoly:
                     term = term * power
             add_terms(acc, term.terms)
         return BasePoly._raw(m, strip_zeros(acc))
-
-    def taylor_shift(self, center) -> "BasePoly":
-        """Rewrite in powers of (x - c): returns h with h(X) = self(X + c),
-        so the coefficients of h are the Taylor coefficients at the center."""
-        center = [Fraction(c) for c in center]
-        if len(center) != self.nvars:
-            raise ValueError("center has %d coordinates, expected %d"
-                             % (len(center), self.nvars))
-        shifted = [BasePoly.var(self.nvars, mu + 1) + BasePoly.const(self.nvars, c)
-                   for mu, c in enumerate(center)]
-        return self.compose(shifted)
-
 
 def power(x, k: int, one, mul=mul):
     """x**k by square-and-multiply with `mul`, `one` for k = 0.  It squares

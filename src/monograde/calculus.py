@@ -20,7 +20,7 @@ from .grading import (IntPower, KGroupElement, NatPower, k_add, k_element,
                       k_eq, k_mul, k_parity)
 from .morphism import DomainSpec
 from .reporting import CheckReport, render
-from .sampling import random_element, random_poly, random_word
+from .sampling import random_poly, random_word
 
 
 # The most entries a descent tower computes past its seed: the bound of an
@@ -186,37 +186,6 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     gens = [commute(d1.gen_values[pos], d2.gen_values[pos])
             for pos in range(d1.domain.genspec.ngens)]
     return Derivation(d1.domain, k_add(grading, d1.degree, d2.degree), base, gens)
-
-
-def check_lie_axioms(d1: Derivation, d2: Derivation, d3: Derivation,
-                     samples: int = 50, seed: int = 0) -> CheckReport:
-    """Graded antisymmetry and the graded Jacobi identity as operator
-    equalities.  Both sides of each are derivations of one degree, and
-    `apply` is linear in a derivation's coordinate values, so when the
-    sides agree on the coordinates they agree on every element; otherwise
-    the first of `samples` random elements where they differ is located."""
-    rep = CheckReport("graded Lie axiom check")
-
-    def check(passed, what, lhs_op, rhs_ops, combine):
-        holds = all(lhs == combine(*rhs) for lhs, *rhs in zip(
-            lhs_op.base_values + lhs_op.gen_values,
-            *(op.base_values + op.gen_values for op in rhs_ops)))
-        # an identity that holds on the coordinates has no counterexample to draw
-        rng = Random(seed)
-        rep.first_counterexample(
-            () if holds else (random_element(rng, d1.domain.genspec) for _ in range(samples)),
-            (passed, lambda f: (lhs_op.apply(f), combine(*(op.apply(f) for op in rhs_ops))),
-             lambda f: "%s at %s" % (what, render(f))))
-
-    for label, a, b in (("(1,2)", d1, d2), ("(1,3)", d1, d3), ("(2,3)", d2, d3)):
-        sign = _sign_bit(a, b)
-        check("antisymmetry %s (%d samples)" % (label, samples), "antisymmetry " + label,
-              bracket(a, b), [bracket(b, a)], lambda ba: ba if sign else -ba)
-    sign12 = _sign_bit(d1, d2)
-    check("jacobi (%d samples)" % samples, "jacobi", bracket(d1, bracket(d2, d3)),
-          [bracket(bracket(d1, d2), d3), bracket(d2, bracket(d1, d3))],
-          lambda rhs1, tail: rhs1 + (-tail if sign12 else tail))
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,16 @@ with a located counterexample, or `NotInvertible`, `NotQClosed` or the
 errors -- `SessionError` (which is how the loader reports a session
 morphism or transition that leaves its target box), `ExprError`,
 `AlgebraError`, `GradingError`, `CalculusError`, `MorphismError` and an
-`--out` path that cannot be written, reported on stderr, and bad
-arguments, which argparse rejects.
+`--out` path that cannot be written, reported on stderr, and a command
+line that `read_argv` rejects, which raises SystemExit(2) after a usage
+line.  `read_argv` reads the options of every command from `OPTIONS` and
+the command's row, so a command process imports no argument parser.
 Reports are line-oriented and deterministic for a fixed session and seed.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -51,8 +53,8 @@ def _element(session, args, token: str, spec=None):
     else over spec, else over the session's sole domain."""
     if token in session.elements:
         return session.elements[token]
-    if args.domain or spec is None:
-        name = args.domain or session.sole_domain()
+    if args["--domain"] or spec is None:
+        name = args["--domain"] or session.sole_domain()
         if name not in session.domains:
             raise SessionError("unknown domain %r" % name)
         spec = session.domains[name].genspec
@@ -80,7 +82,7 @@ def _bracket(session, args, first, second):
 
 def _descent(session, args, Q, K, d, token):
     seq = k_sequence(Q, K, d, _element(session, args, token, Q.domain.genspec),
-                     pmax=args.pmax)
+                     pmax=args["--pmax"])
     return ["O(%d) = %s" % (p, render_element(e)) for p, e in enumerate(seq)]
 
 
@@ -112,8 +114,8 @@ class Command(NamedTuple):
     # (name, session table or None for a plain token), in command-line order
     positionals: tuple
     handler: Callable
-    # (flag, default) of an extra nonnegative integer option
-    option: tuple | None = None
+    # {flag: default} of an extra nonnegative integer option
+    option: dict = {}
 
 
 ELEMENT = ("element", None)
@@ -153,12 +155,12 @@ COMMANDS = {
             d.apply(_element(s, a, token, d.domain.genspec)))]),
     "qk-verify": Command(
         "verify the QK structure relations", (Q, K, D),
-        lambda s, a, q, k, d: qk_verify(q, k, d, max_word=a.max_word,
+        lambda s, a, q, k, d: qk_verify(q, k, d, max_word=a["--max-word"],
                                         samples=s.samples, seed=s.seed),
-        ("--max-word", 4)),
+        {"--max-word": 4}),
     "descent": Command(
         "generate the canonical descent tower", (Q, K, D, ("seed_element", None)),
-        _descent, ("--pmax", None)),
+        _descent, {"--pmax": None}),
     "check-descent": Command(
         "verify the descent equations", (Q, D, ("sequence", "sequences")),
         lambda s, a, q, d, seq: check_descent(q, d, seq)),
@@ -174,30 +176,132 @@ COMMANDS = {
 def _count(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+        raise ValueError("must be nonnegative, got %d" % value)
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="monograde",
-        description="exact computations in monoid-graded commutative algebras")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--session", required=True, help="session JSON file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--truncation", type=int, default=None)
-    common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--domain", default=None, help="domain for inline expressions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help, parents=[common])
-        for arg, _ in cmd.positionals:
-            p.add_argument(arg, metavar=arg.replace("_", "-"))
-        if cmd.option:
-            flag, default = cmd.option
-            p.add_argument(flag, type=_count, default=default)
-    return parser
+# flag -> conversion of the options every command takes; each defaults to None
+OPTIONS = {"--session": str, "--seed": int, "--samples": int, "--truncation": int,
+           "--out": str, "--domain": str}
+HELP = ("-h", "--help")
+OPTIONS_HELP = """
+options:
+  -h, --help               show this help and exit
+  --session SESSION        session JSON file (required)
+  --seed SEED              seed of the random draws
+  --samples SAMPLES        number of random samples
+  --truncation TRUNCATION  truncation order
+  --out OUT                write the report here
+  --domain DOMAIN          domain for inline expressions
+"""
+# a token that reads as a negative number is a positional, as in argparse
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage(name) -> str:
+    """The usage line of a command, or of the program when name is None."""
+    if name is None:
+        return "usage: monograde [-h] COMMAND ..."
+    cmd = COMMANDS[name]
+    return "usage: monograde %s [-h] --session SESSION [options]%s %s" % (
+        name, "".join(" [%s N]" % flag for flag in cmd.option),
+        " ".join(arg for arg, _ in cmd.positionals))
+
+
+def _fail(name, message: str):
+    """Report a command line error under its usage line, and exit 2."""
+    sys.stderr.write("%s\nmonograde: error: %s\n" % (_usage(name), message))
+    raise SystemExit(INPUT_ERROR)
+
+
+def _help(name, flag: str, value):
+    """Print help and exit 0; a help flag takes no value, but `-hh` is `-h` twice."""
+    if value is not None and (flag == "--help" or not value or value.strip("h")):
+        _fail(name, "ignored explicit argument %r" % value)
+    if name is None:
+        text = "commands:\n" + "".join("  %-14s %s\n" % (command, cmd.help)
+                                       for command, cmd in COMMANDS.items())
+    else:
+        text = COMMANDS[name].help + "\n" + OPTIONS_HELP + "".join(
+            "  %-24s a nonnegative integer\n" % (flag + " N") for flag in COMMANDS[name].option)
+    sys.stdout.write("%s\n\n%s" % (_usage(name), text))
+    raise SystemExit(PASS)
+
+
+def _option(token: str, flags, name):
+    """How a token reads: None for a positional, else (flag, value or None)
+    of an option, the flag None for an unknown option.  A unique prefix of
+    a long flag names it."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    found = [head] if head in flags else [
+        flag for flag in flags if token[1] == "-" and flag.startswith(head)]
+    if found[1:]:
+        _fail(name, "ambiguous option: %s could match %s" % (token, ", ".join(found)))
+    if found:
+        return found[0], value if eq else None
+    if token[1] == "h":
+        return "-h", token[2:]
+    if NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def read_argv(argv):
+    """The command name, the option values by flag and the positional tokens
+    of a command line, read by argparse's conventions: `--flag value` or
+    `--flag=value` in any order with the positionals, the last value of an
+    option winning, and `--` ending the options.  Help exits 0; any other
+    error prints the usage line and the error to stderr and exits 2."""
+    # the program's own options come before the command: help, or unknown
+    kinds = [None if token == "--" else _option(token, HELP, None) for token in argv]
+    at = (kinds + [None]).index(None)
+    for kind in kinds[:at]:
+        if kind[0]:
+            _help(None, *kind)
+    name = (argv + [None])[at]
+    if name not in COMMANDS:
+        _fail(None, "expected a command, found %r" % name)
+    cmd, tokens, extras = COMMANDS[name], argv[at + 1:], argv[:at]
+    flags = {**OPTIONS, **dict.fromkeys(cmd.option, _count)}
+    values = {**dict.fromkeys(OPTIONS), **cmd.option}
+    # every token is read before any is used, as argparse does; the "--"
+    # past the last token ends an option's value there too
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, HELP + tuple(flags), name) for token in tokens[:end]]
+    kinds += ["--"] + [None] * len(tokens)
+    positionals, last = [], None
+    steps = iter(range(len(tokens)))
+    for i in steps:
+        kind, full = kinds[i], len(positionals) == len(cmd.positionals)
+        if kind is None and not full:
+            positionals.append(tokens[i])
+            last = i
+        elif kind == "--":
+            # past the positionals it is an extra, unless it follows the last
+            if full and last != i - 1:
+                extras.append("--")
+        elif kind is None or kind[0] is None:
+            extras.append(tokens[i])
+        elif kind[0] in HELP:
+            _help(name, *kind)
+        else:
+            flag, value = kind
+            if value is None:
+                if kinds[i + 1] is not None:
+                    _fail(name, "argument %s: expected one argument" % flag)
+                value = tokens[next(steps)]
+            try:
+                values[flag] = flags[flag](value)
+            except ValueError as exc:
+                _fail(name, "argument %s: %s" % (flag, exc))
+    missing = ["--session"] * (values["--session"] is None)
+    missing += [arg for arg, _ in cmd.positionals[len(positionals):]]
+    if missing or extras:
+        _fail(name, "the following arguments are required: " + ", ".join(missing) if missing
+              else "unrecognized arguments: " + " ".join(extras))
+    return name, values, positionals
 
 
 def _emit(lines, out_path):
@@ -209,14 +313,13 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _outcome(cmd: Command, args):
+def _outcome(cmd: Command, args, tokens):
     """The report lines of a command and its exit code."""
     try:
-        session = load_session(args.session, truncation=args.truncation,
-                               seed=args.seed, samples=args.samples)
+        session = load_session(args["--session"], truncation=args["--truncation"],
+                               seed=args["--seed"], samples=args["--samples"])
         values = []
-        for arg, table in cmd.positionals:
-            token = getattr(args, arg)
+        for (arg, table), token in zip(cmd.positionals, tokens):
             if table is not None:
                 found = getattr(session, table)
                 if token not in found:
@@ -232,10 +335,10 @@ def _outcome(cmd: Command, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    name, args, tokens = read_argv(sys.argv[1:] if argv is None else list(argv))
     try:
-        lines, code = _outcome(COMMANDS[args.command], args)
-        _emit(lines, args.out)
+        lines, code = _outcome(COMMANDS[name], args, tokens)
+        _emit(lines, args["--out"])
     except INPUT_ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR

@@ -381,10 +381,6 @@ class GradedElement:
         empty = (0,) * self.spec.ngens
         return self.terms.get(empty, BasePoly.zero(self.spec.nvars))
 
-    def eval_at(self, point) -> Fraction:
-        """Scalar value at a base point: evaluate the body, kill the rest."""
-        return self.body().eval(point)
-
     def invert(self) -> "GradedElement":
         """Multiplicative inverse, when the body is a nonzero constant.
 
@@ -410,12 +406,6 @@ class GradedElement:
 
     # -- grading -----------------------------------------------------------
 
-    def homogeneous_part(self, i) -> "GradedElement":
-        i = self.spec.grading.check_element(i)
-        picked = {b: p for b, p in self.terms.items()
-                  if self.spec.word_degree(b) == i}
-        return GradedElement._raw(self.spec, picked)
-
     def degrees(self):
         return {self.spec.word_degree(b) for b in self.terms}
 
@@ -430,41 +420,6 @@ class GradedElement:
         if len(ds) > 1:
             raise AlgebraError("element is not homogeneous")
         return next(iter(ds))
-
-    # -- jets at a base point -------------------------------------------------
-
-    def taylor_truncate(self, point, k: int) -> "GradedElement":
-        """The polynomial jet of joint order k at the point: total degree in
-        the shifted variables (x - p) and the generators together is <= k,
-        and the remainder sits in the (k+1)-st power of the point's ideal."""
-        if k < 0:
-            raise ValueError("jet order must be >= 0")
-        point = [Fraction(c) for c in point]
-        neg = [-c for c in point]
-        acc = {}
-        for beta, poly in self.terms.items():
-            w = sum(beta)
-            if w > k:
-                continue
-            shifted = poly.taylor_shift(point)
-            kept = {e: c for e, c in shifted.terms.items() if sum(e) <= k - w}
-            if not kept:
-                continue
-            # shifting back is invertible, so a nonzero jet stays nonzero
-            acc[beta] = BasePoly._raw(self.spec.nvars, kept).taylor_shift(neg)
-        return GradedElement._raw(self.spec, acc)
-
-    def adic_order(self, point):
-        """Smallest joint order of any term at the point (word length plus
-        vanishing order of the coefficient); None for the zero element."""
-        point = [Fraction(c) for c in point]
-        best = None
-        for beta, poly in self.terms.items():
-            o = sum(beta) + poly.taylor_shift(point).min_degree()
-            if best is None or o < best:
-                best = o
-        return best
-
 
 class TermSum:
     """A sum of graded terms built in one pass.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from itertools import product as _cartesian
-from math import gcd, lcm, prod
+from math import prod
 
 
 class GradingError(ValueError):
@@ -353,30 +353,6 @@ def parity_counts(spec: GradingSpec) -> tuple:
     return len(bits) - sum(bits), sum(bits)
 
 
-def check_parity_cardinality(spec: GradingSpec) -> bool:
-    """Whether the even and odd parts have the same number of elements."""
-    even, odd = parity_counts(spec)
-    return even == odd
-
-
-def element_order(spec: GradingSpec, i):
-    """Least m >= 1 with m*i = 0, or None if no multiple returns to 0.
-
-    In a cyclic product it is the lcm of the component orders q/gcd(c, q);
-    in a table, the multiples are stepped through, at most one per element."""
-    if not spec.is_finite:
-        raise GradingError("element order needs a finite monoid")
-    i = spec.check_element(i)
-    if isinstance(spec, CyclicProduct):
-        return lcm(*(q // gcd(c, q) for c, q in zip(spec._tup(i), spec.orders)))
-    acc = i
-    for m in range(1, spec.size + 1):
-        if acc == spec.zero():
-            return m
-        acc = spec.add(acc, i)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # group completion
 # ---------------------------------------------------------------------------
@@ -442,99 +418,10 @@ def k_parity(spec: GradingSpec, e: KGroupElement) -> int:
     return (spec.parity(e.pos) + spec.parity(e.neg)) % 2
 
 
-def k_normalize(spec: GradingSpec, e: KGroupElement) -> KGroupElement:
-    """Canonical representative with the componentwise minimum removed."""
-    if not isinstance(spec, NatPower):
-        raise GradingError("normalization is defined for nat_power gradings only")
-    p, n = spec._tup(e.pos), spec._tup(e.neg)
-    m = tuple(min(x, y) for x, y in zip(p, n))
-    return KGroupElement(spec._out(tuple(x - c for x, c in zip(p, m))),
-                         spec._out(tuple(y - c for y, c in zip(n, m))))
-
-
 def format_k(spec: GradingSpec, e: KGroupElement) -> str:
     if e.neg == spec.zero():
         return spec.format_element(e.pos)
     return "%s-%s" % (spec.format_element(e.pos), spec.format_element(e.neg))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive small-monoid search
-# ---------------------------------------------------------------------------
-
-def all_cancellative_tables(n: int):
-    """All commutative cancellative monoid tables on {0..n-1} with identity 0.
-
-    Backtracking over the upper triangle of the Cayley table.  Cancellativity
-    makes every row a permutation, which together with incremental
-    associativity checking prunes the search to a small tree.
-    """
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = table[j][0] = j
-    row_used = [set(range(n)) if i == 0 else {i} for i in range(n)]
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-
-    def assoc_ok(i, j):
-        # triples where the fresh cell is one of the two inner products
-        for c in range(n):
-            for x, y, z in ((i, j, c), (j, i, c), (c, i, j), (c, j, i)):
-                xy = table[x][y]
-                yz = table[y][z]
-                if xy is None or yz is None:
-                    continue
-                lhs = table[xy][z]
-                rhs = table[x][yz]
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-        # triples completed through the fresh cell as an outer product; the
-        # mirrored outer-right case reduces to this one by commutativity
-        for a, b in ((i, j), (j, i)):
-            v = table[a][b]
-            for x in range(n):
-                rx = table[x]
-                for y in range(n):
-                    if rx[y] != a:
-                        continue
-                    yb = table[y][b]
-                    if yb is not None and table[x][yb] is not None \
-                            and table[x][yb] != v:
-                        return False
-        return True
-
-    def fill(idx):
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in table)
-            return
-        i, j = cells[idx]
-        for v in range(n):
-            if v in row_used[i] or (i != j and v in row_used[j]):
-                continue
-            table[i][j] = table[j][i] = v
-            row_used[i].add(v)
-            if i != j:
-                row_used[j].add(v)
-            if assoc_ok(i, j):
-                yield from fill(idx + 1)
-            table[i][j] = table[j][i] = None
-            row_used[i].discard(v)
-            if i != j:
-                row_used[j].discard(v)
-
-    yield from fill(0)
-
-
-def parity_functions_of_table(table):
-    """All nontrivial parity assignments for an addition table, by brute force."""
-    n = len(table)
-    found = []
-    for bits in _cartesian((0, 1), repeat=n - 1):
-        p = (0,) + bits
-        if all(p[table[i][j]] == (p[i] + p[j]) % 2
-               for i in range(n) for j in range(i, n)):
-            if any(p):
-                found.append(p)
-    return found
 
 
 # The non-cancellative order-3 monoid used throughout the tests: 0 is the

@@ -4,8 +4,8 @@ A morphism is given entirely by coordinate images: one degree-0 element per
 target base coordinate and one homogeneous element per target generator.
 Pulling back an arbitrary element substitutes those images, extending base
 coefficients through `continuation`.  Underlying point maps, homomorphism
-property runs, atlas cocycle checking, and the split-model constructor from
-graded vector-bundle data all live here.
+property runs and atlas cocycle checking live here; the split-model
+constructor from graded vector-bundle data is in `structure`.
 """
 
 from __future__ import annotations
@@ -459,43 +459,3 @@ def check_cocycle(atlas: Atlas) -> CheckReport:
             composite(locator, locator, t_ab, atlas.transitions[(b, c)], t_ac.images,
                       t_ac.base_images + t_ac.gen_images, box=common)
     return rep
-
-
-def split_model(genspec: GeneratorSpec, chart_boxes, transitions, names=None,
-                samples: int = DEFAULT_RANGE_SAMPLES, seed: int = 0) -> Atlas:
-    """Build the atlas of the graded manifold attached to a graded vector
-    bundle: base maps act on coordinates, and generators transform linearly
-    degree by degree through the given matrices.
-
-    `transitions` maps ordered chart pairs (a, b) to a triple
-    (overlap_box_in_chart_a, base_images, matrices) where base_images is one
-    polynomial per base coordinate and matrices[k][i][j] gives the
-    coefficient of the j-th degree-k generator in the image of the i-th.
-    """
-    charts = [DomainSpec(genspec, box) for box in chart_boxes]
-    degrees = sorted({g.degree for g in genspec.generators},
-                     key=genspec.grading.sort_key)
-    by_degree = {d: [pos for pos, g in enumerate(genspec.generators)
-                     if g.degree == d] for d in degrees}
-    built = {}
-    for (a, b), (overlap, base_images, matrices) in transitions.items():
-        source = DomainSpec(genspec, overlap)
-        base = [GradedElement.scalar(genspec, poly) for poly in base_images]
-        gen_images = [None] * genspec.ngens
-        for d in degrees:
-            positions = by_degree[d]
-            m_k = len(positions)
-            if d not in matrices:
-                raise MorphismError("no matrix for degree %s in transition (%d,%d)"
-                                    % (genspec.grading.format_element(d), a, b))
-            mat = matrices[d]
-            if len(mat) != m_k or any(len(row) != m_k for row in mat):
-                raise MorphismError("matrix for degree %s must be %dx%d"
-                                    % (genspec.grading.format_element(d), m_k, m_k))
-            for i, row in enumerate(mat):
-                gen_images[positions[i]] = GradedElement(genspec, [
-                    (tuple(1 if p == positions[j] else 0 for p in range(genspec.ngens)), entry)
-                    for j, entry in enumerate(row)])
-        built[(a, b)] = Morphism(source, charts[b], base, gen_images,
-                                 samples=samples, seed=seed)
-    return Atlas(charts, built, names=names)

@@ -16,6 +16,7 @@ from random import Random
 from monograde import (BasePoly, DomainSpec, Derivation, GeneratorSpec,
                        GradedElement, IntPower, NatPower, Z2Power)
 from monograde.grading import KGroupElement
+from monograde.structure import degree_in
 
 
 def nat1_spec(nvars=1, degrees=(1, 1), truncation=6, names=None):
@@ -212,7 +213,7 @@ def taylor_sum_oracle(g: BasePoly, images, spec: GeneratorSpec) -> GradedElement
     bodies = [y.body() for y in images]
     shifts = [GradedElement(spec, [(b, p) for b, p in y.terms.items() if any(b)])
               for y in images]
-    caps = [g.degree_in(mu + 1) for mu in range(n)]
+    caps = [degree_in(g, mu + 1) for mu in range(n)]
     items = []
     idx = [0] * n
 

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 from monograde import (BasePoly, Derivation, DescentSequence, GeneratorSpec,
                        GradedElement, IntPower, NatPower, NotQClosed, bracket,
-                       check_descent, check_exact, check_lie_axioms,
-                       k_sequence, parse_element, qk_verify, render_element)
+                       check_descent, check_exact, k_sequence, parse_element,
+                       qk_verify, render_element)
 from monograde import calculus
 from monograde.calculus import CalculusError
 from monograde.grading import (IntPower, KGroupElement, NatPower, k_element, k_eq, k_mul,
                                k_parity)
 from monograde.morphism import DomainSpec
 from monograde.sampling import random_element, random_homogeneous
+from monograde import structure
 from monograde.session import load_session
+from monograde.structure import check_lie_axioms
 
 from helpers import lie_axioms_by_samples, qk_model, qk_verify_by_probes
 
@@ -215,7 +217,7 @@ def test_lie_axioms_decided_on_the_coordinates(monkeypatch):
     D3 = Derivation(dom, KGroupElement(1, 1), [zero], [zero, x * th1])
     calls = count_applies(monkeypatch)
     draws = []
-    monkeypatch.setattr(calculus, "random_element",
+    monkeypatch.setattr(structure, "random_element",
                         lambda *a, **k: draws.append(a) or random_element(*a, **k))
     text = check_lie_axioms(d_th1, D3, d_x, samples=60, seed=0).text()
     # two applications per coordinate (x1, th1, th2) in each of the six

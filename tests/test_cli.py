@@ -434,6 +434,14 @@ SUM_512 = " + ".join("x1^%d" % k for k in range(512))
 SUM_512_SQUARED = " + ".join(
     ("%d*" % c if c > 1 else "") + ("x1^%d" % k if k > 1 else "x1")
     for k in range(1022, 0, -1) for c in [min(k, 1022 - k) + 1]) + " + 1"
+def cyclic_table_session(n):
+    """Z_n as a finite table with its product, parity the residue mod 2."""
+    return {"format": 1, "grading": {
+        "kind": "finite_table", "table": [[(i + j) % n for j in range(n)] for i in range(n)],
+        "mul": [[i * j % n for j in range(n)] for i in range(n)],
+        "parity": [i % 2 for i in range(n)]}}
+
+
 TWO_CHARTS = json.loads((SESSIONS / "two_charts.json").read_text())
 QK_MODEL = json.loads((SESSIONS / "qk_model.json").read_text())
 IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
@@ -467,11 +475,13 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
     (geometric_session(nvars=10 ** 8), ("invert", "f"), VARS),
     (EVEN_WORDS, ("normalize", WORD_SUM % 13, "--domain", "U"), TERMS),
     (EVEN_WORDS, ("normalize", WORD_SUM % 60, "--domain", "U"), TERMS),
+    (cyclic_table_session(129), ("check-monoid",),
+     "table order is more than 128, the limit for a grading"),
 ], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
         "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
         "range-samples", "composite-degree", "composite-pairs", "pullback-pairs", "product-pairs",
         "pmax", "pmax-huge", "truncation", "truncation-huge", "vars", "vars-huge", "word-power",
-        "word-power-huge"])
+        "word-power-huge", "table-order"])
 def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
     start = time.perf_counter()
     with int_digit_limit(4300):
@@ -502,9 +512,10 @@ def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, mess
     (geometric_session(nvars=1000), ("normalize", "x1000*t", "--domain", "U"), "x1000*t"),
     ({"format": 1, "grading": {"kind": "nat_power", "k": 100_000}, "domains": {"U": {"vars": 1}}},
      ("normalize", "x1 + 1"), "x1 + 1"),
+    (cyclic_table_session(128), ("check-monoid",), "monoid kind: finite_table"),
 ], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",
         "composite-degree", "composite-monomial", "product-pairs", "pmax", "truncation", "vars",
-        "grading-components"])
+        "grading-components", "table-order"])
 def test_a_run_just_within_a_limit_succeeds(tmp_path, capsys, data, argv, first_line):
     with int_digit_limit(4300):
         code, out, err = run_session(tmp_path, capsys, data, *argv)
@@ -969,9 +980,7 @@ MUTATION_VALUES = (None, 1, 2.5, True, "x", [], {}, [1], {"a": 1}, -1)
 
 
 @pytest.mark.parametrize("name", sorted(FUZZ_COMMANDS))
-def test_single_field_mutations_never_raise(tmp_path, capsys, monkeypatch, name):
-    parser = cli.build_parser()  # built once: building it dominates a run
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_single_field_mutations_never_raise(tmp_path, capsys, name):
     base = json.loads((SESSIONS / name).read_text())
     for path in list(field_paths(base)):
         for value in MUTATION_VALUES:
@@ -980,7 +989,7 @@ def test_single_field_mutations_never_raise(tmp_path, capsys, monkeypatch, name)
             try:
                 code, _, err = run_session(tmp_path, capsys, data,
                                            *FUZZ_COMMANDS[name], "--samples", "0")
-            except SystemExit as exc:  # argparse rejected the arguments
+            except SystemExit as exc:  # the command line was rejected
                 assert exc.code == 2
                 continue
             assert code in (0, 1, 2), (path, value)
@@ -1023,9 +1032,7 @@ def fuzzed_runs(draw):
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzzed_runs())
-def test_fuzzed_runs_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch, fuzzed):
-    parser = cli.build_parser()  # built once: building it dominates a run
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_fuzzed_runs_keep_the_exit_code_contract(tmp_path, capsys, fuzzed):
     data, head, tail = fuzzed
     path = tmp_path / "session.json"
     path.write_text(json.dumps(data))
@@ -1077,10 +1084,7 @@ def grammar_texts():
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(st.sampled_from(sorted(NORMALIZE_DOMAINS)), grammar_texts())
-def test_normalize_of_long_numbers_keeps_the_exit_code_contract(capsys, monkeypatch,
-                                                                name, text):
-    parser = cli.build_parser()  # built once: building it dominates a run
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_normalize_of_long_numbers_keeps_the_exit_code_contract(capsys, name, text):
     start = time.perf_counter()
     with int_digit_limit(4300):
         code, out, err = run(capsys, "normalize", "--domain", NORMALIZE_DOMAINS[name],
@@ -1117,6 +1121,81 @@ def test_negative_counts_are_input_errors(tmp_path, capsys):
             main([*argv, "--session", str(SESSIONS / "qk_model.json")])
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
+
+
+GEO, MOR, QK = (str(SESSIONS / name) for name in
+                ("geometric.json", "morphisms.json", "qk_model.json"))
+
+
+# Command lines, their exit codes and whether main raised SystemExit (on
+# help and on a rejected command line), as the argparse front end that
+# cli.read_argv replaced gave them.
+@pytest.mark.parametrize("argv, code, raised", [
+    (["normalize", "t^2", "--session=" + GEO], 0, False),
+    (["descent", "Q", "K", "d", "obs", "--pmax=2", "--session", QK], 0, False),
+    (["normalize", "t^2", "--sess", GEO], 0, False),
+    (["check-hom", "shift", "--sa=0", "--sess=" + MOR], 0, False),
+    (["normalize", "t^2", "--s", GEO], 2, True),
+    (["normalize", "t^2"], 2, True),
+    ([], 2, True),
+    (["normalise", "t^2", "--session", GEO], 2, True),
+    (["normalize", "t^2", "--session", GEO, "--verbose"], 2, True),
+    (["--session", GEO, "normalize", "t^2"], 2, True),
+    (["pullback", "shift", "--session", MOR], 2, True),
+    (["normalize", "t^2", "t", "--session", GEO], 2, True),
+    (["normalize", "t^2", "--session"], 2, True),
+    (["check-monoid", "--seed", "x", "--session", GEO], 2, True),
+    (["descent", "Q", "K", "d", "obs", "--pmax", "-1", "--session", QK], 2, True),
+    (["qk-verify", "Q", "K", "d", "--max-word=-1", "--session", QK], 2, True),
+    (["check-hom", "shift", "--samples", "-3", "--samples", "0", "--session", MOR], 0, False),
+    (["check-hom", "shift", "--samples", "0", "--samples", "-3", "--session", MOR], 2, False),
+    (["normalize", "-1", "--session", GEO], 0, False),
+    (["normalize", "-x1^2", "--session", GEO], 2, True),
+    (["normalize", "- t", "--session", GEO], 0, False),
+    (["normalize", "--session", GEO, "--", "-t^2"], 0, False),
+    (["check-monoid", "--session", GEO, "--"], 2, True),
+    (["-h"], 0, True),
+    (["--he"], 0, True),
+    (["normalize", "-h"], 0, True),
+    (["descent", "-h", "--pmax", "-1"], 0, True),
+    (["descent", "--pmax", "-1", "-h"], 2, True),
+    (["normalize", "--help=yes"], 2, True),
+], ids=["flag-equals-value", "option-equals-value", "unique-prefix", "unique-prefix-equals",
+        "ambiguous-prefix", "missing-session", "no-command", "unknown-command",
+        "unknown-option", "option-before-command", "missing-positional", "extra-positional",
+        "missing-option-value", "seed-not-an-integer", "pmax-negative", "max-word-negative",
+        "last-value-wins", "last-value-wins-bad", "negative-number-positional",
+        "dash-positional", "space-positional", "double-dash", "double-dash-after-option",
+        "help", "help-long-prefix", "command-help", "help-before-a-bad-value",
+        "bad-value-before-help", "help-with-a-value"])
+def test_command_lines_keep_their_exit_codes(capsys, argv, code, raised):
+    try:
+        outcome = main(argv), False
+    except SystemExit as exc:
+        outcome = exc.code, True
+    out, err = capsys.readouterr()
+    assert outcome == (code, raised)
+    if raised and code == 2:
+        assert (out, err.splitlines()[0].split()[:2]) == ("", ["usage:", "monograde"])
+        assert ": error: " in err.splitlines()[-1]
+
+
+def test_a_second_double_dash_is_a_positional_token(capsys):
+    # argparse read it as an empty list, whose lookup among the session's
+    # elements ended in a TypeError traceback
+    code, out, err = run(capsys, "pullback", "--session", MOR, "--", "shift", "--")
+    assert (code, out, err) == (2, "", "error: expected a value, found None (at position 2)\n")
+
+
+def test_help_lists_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (\S+) ", capsys.readouterr().out, re.M) == list(cli.COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["descent", "-h"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (--\S+)", capsys.readouterr().out, re.M) == [*cli.OPTIONS, "--pmax"]
 
 
 def readme_section(start: str, end: str) -> str:

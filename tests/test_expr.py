@@ -264,6 +264,7 @@ ATOM_RUN_CASES = [
     (0, "x1^0", "1"),
     (0, "t^0*u^0*0^0", "1"),
     (0, "th[1,2]*u*x2^2*1/2", "-1/2*x2^2*u*th[1,2]"),
+    (0, "(1 + x1)*th[1,2]*u", "-x1*u*th[1,2] - u*th[1,2]"),  # the run's own sign
     (3, "u*t", "-t*u"),           # t is even but anticommutes with u
     (3, "u*t^2", "t^2*u"),
 ]

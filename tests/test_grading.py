@@ -5,13 +5,12 @@ from itertools import product
 from random import Random
 
 from monograde import (CyclicProduct, FiniteTable, GradingError, IntPower,
-                       KGroupElement, NatPower, Z2Power,
-                       all_cancellative_tables, check_parity_cardinality,
-                       element_order, k_add,
-                       k_element, k_eq, k_normalize, k_parity,
-                       parity_functions_of_table, parity_of)
+                       KGroupElement, NatPower, Z2Power, k_add, k_element, k_eq,
+                       k_parity, parity_of)
 from monograde.grading import (EXAMPLE_TABLE3, EXAMPLE_TABLE3_NAMES,
                                EXAMPLE_TABLE3_PARITY, parity_counts)
+from monograde.structure import (all_cancellative_tables, check_parity_cardinality,
+                                 element_order, k_normalize, parity_functions_of_table)
 
 
 def table1():

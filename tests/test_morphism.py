@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from monograde import (BasePoly, DomainSpec, GeneratorSpec, GradedElement,
                        IntPower, Morphism, MorphismError, NatPower, check_cocycle,
-                       check_homomorphism, compose, continuation, parse_element,
-                       split_model)
+                       check_homomorphism, compose, continuation, parse_element)
 from monograde import morphism as morphism_module
 from monograde.morphism import Atlas, RangeViolation, _check_range, intersect_boxes
 from monograde.sampling import random_element, random_poly
+from monograde.structure import split_model
 
 from helpers import (eval_oracle, grid_points_oracle, random_endomorphism,
                      random_invertible_matrix, random_point_oracle,

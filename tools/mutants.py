@@ -63,6 +63,16 @@ MUTANTS = [
      "nxt = K(entries[-1]) / Fraction(p)",
      "nxt = K(entries[-1]) / Fraction(max(p - 1, 1))",
      "the 1/p! normalization of a descent tower from its third entry on", None),
+    ("count-sign", "cli.py",
+     "if value < 0:",
+     "if value < -1:",
+     "the nonnegative check of --max-word and --pmax: --pmax -1 would reach the descent "
+     "tower", None),
+    ("session-required", "cli.py",
+     'missing = ["--session"] * (values["--session"] is None)',
+     "missing = []",
+     "the required --session: a command line without one would be read, and fail only "
+     "when the session loads", None),
     ("homomorphism-degree", "morphism.py",
      "lambda h, ph: ph.degrees() <= h.degrees()",
      "lambda h, ph: True",

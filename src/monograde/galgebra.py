@@ -13,7 +13,8 @@ an element is rendered.
 Outside input goes through the validating `GradedElement` constructor.
 Results of internal arithmetic are assembled by `TermSum`, which adds and
 multiplies coefficient dicts in one pass and builds the result through
-the trusted `_raw` constructor.
+the trusted `_raw` constructor.  Every graded product is computed there,
+so `TermSum` alone holds the product budget, `MAX_PRODUCT_PAIRS`.
 
 The commutation sign between homogeneous pieces of degrees i and j is
 (-1)**parity(i*j), using the grading monoid's product; this is not in
@@ -32,6 +33,11 @@ from .grading import GradingSpec
 
 # The token a generator name must be: the expression grammar's NAME.
 NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# A product is refused before it is computed when the base terms of its
+# factors make more than MAX_PRODUCT_PAIRS pairs, at about 3 us a pair (0.8 s
+# at the limit, 2-vCPU VM, Python 3.11); the benchmark's make at most 5184.
+MAX_PRODUCT_PAIRS = 1 << 18
 
 
 class AlgebraError(ValueError):
@@ -421,11 +427,20 @@ class GradedElement:
             raise AlgebraError("element is not homogeneous")
         return next(iter(ds))
 
+
+def _check_pairs(pairs: int, y: GradedElement) -> None:
+    """Refuse a product of `pairs` base terms by those of y past the budget."""
+    if pairs * sum([len(p.terms) for p in y.terms.values()]) > MAX_PRODUCT_PAIRS:
+        raise AlgebraError("a product needs more than %d pairs of terms, the limit "
+                           "for a product" % MAX_PRODUCT_PAIRS)
+
+
 class TermSum:
     """A sum of graded terms built in one pass.
 
     Coefficients accumulate in plain dicts (word -> base exponents ->
-    Fraction) and zero coefficients are stripped once, in `element`.
+    Fraction) and zero coefficients are stripped once, in `element`.  Both
+    products, `add_product` and `add` with a coefficient, check the budget.
     """
 
     __slots__ = ("spec", "acc")
@@ -436,6 +451,8 @@ class TermSum:
 
     def add(self, x: GradedElement, coeff: BasePoly | None = None) -> None:
         """Add coeff * x, with coeff a base polynomial (1 when omitted)."""
+        if coeff is not None:
+            _check_pairs(len(coeff.terms), x)
         acc = self.acc
         for beta, poly in x.terms.items():
             slot = acc.get(beta)
@@ -448,6 +465,7 @@ class TermSum:
 
     def add_product(self, x: GradedElement, y: GradedElement) -> None:
         """Add x * y."""
+        _check_pairs(sum([len(p.terms) for p in x.terms.values()]), y)
         spec = self.spec
         acc = self.acc
         right = [(b2, p2.terms) for b2, p2 in y.terms.items()]

@@ -18,51 +18,50 @@ from .galgebra import GeneratorSpec, GradedElement
 # 1/DRAW_DENSITY of a unit, or of the axis's width, from that bound.
 DRAW_DENSITY = 8
 
+# The shape of every draw: rationals of numerator at most SPAN in size over
+# at most MAX_DEN; polynomials of 1 to POLY_TERMS terms of degree at most
+# MAX_DEGREE; elements of 1 to ELEMENT_TERMS terms (HOMOGENEOUS_TERMS when
+# homogeneous) on words of length at most MAX_WORD.
+SPAN, MAX_DEN, POLY_TERMS, MAX_DEGREE = 4, 3, 3, 2
+ELEMENT_TERMS, HOMOGENEOUS_TERMS, MAX_WORD = 3, 2, 3
 
-def random_rational(rng: Random, span: int = 4, max_den: int = 3) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, max_den)
-    return Fraction(num, den)
+
+def random_rational(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-SPAN, SPAN), rng.randint(1, MAX_DEN))
 
 
-def random_poly(rng: Random, nvars: int, max_terms: int = 3,
-                max_degree: int = 2, span: int = 4) -> BasePoly:
+def random_poly(rng: Random, nvars: int) -> BasePoly:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
-        if sum(exps) > max_degree:
-            exps = tuple(0 for _ in exps)
-        coeff = random_rational(rng, span)
+    for _ in range(rng.randint(1, POLY_TERMS)):
+        exps = tuple(rng.randint(0, MAX_DEGREE) for _ in range(nvars))
+        if sum(exps) > MAX_DEGREE:
+            exps = (0,) * nvars
+        coeff = random_rational(rng)
         if coeff:
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
     return BasePoly(nvars, terms)
 
 
-def random_word(rng: Random, spec: GeneratorSpec, max_len: int = 3):
+def random_word(rng: Random, spec: GeneratorSpec, max_len: int = MAX_WORD):
     words = spec.words_up_to(max_len)
     return words[rng.randrange(len(words))]
 
 
-def _random_terms(rng: Random, spec: GeneratorSpec, words, max_terms: int,
-                  max_degree: int) -> GradedElement:
+def _random_terms(rng: Random, spec: GeneratorSpec, words, max_terms: int) -> GradedElement:
     """1 to max_terms terms, each a word drawn from words times a random poly."""
-    return GradedElement(spec, [
-        (words[rng.randrange(len(words))],
-         random_poly(rng, spec.nvars, max_degree=max_degree))
-        for _ in range(rng.randint(1, max_terms))])
+    return GradedElement(spec, [(words[rng.randrange(len(words))], random_poly(rng, spec.nvars))
+                                for _ in range(rng.randint(1, max_terms))])
 
 
-def random_element(rng: Random, spec: GeneratorSpec, max_terms: int = 3,
-                   max_word: int = 3, max_degree: int = 2) -> GradedElement:
-    return _random_terms(rng, spec, spec.words_up_to(max_word), max_terms, max_degree)
+def random_element(rng: Random, spec: GeneratorSpec) -> GradedElement:
+    return _random_terms(rng, spec, spec.words_up_to(MAX_WORD), ELEMENT_TERMS)
 
 
-def random_homogeneous(rng: Random, spec: GeneratorSpec, max_terms: int = 2,
-                       max_word: int = 3, max_degree: int = 2) -> GradedElement:
+def random_homogeneous(rng: Random, spec: GeneratorSpec) -> GradedElement:
     """A random element all of whose words share one grading degree."""
-    target = spec.word_degree(random_word(rng, spec, max_word))
-    pool = [w for w in spec.words_up_to(max_word) if spec.word_degree(w) == target]
-    return _random_terms(rng, spec, pool, max_terms, max_degree)
+    target = spec.word_degree(random_word(rng, spec))
+    pool = [w for w in spec.words_up_to(MAX_WORD) if spec.word_degree(w) == target]
+    return _random_terms(rng, spec, pool, HOMOGENEOUS_TERMS)
 
 
 def random_point_in(rng: Random, box):

@@ -63,6 +63,39 @@ WORKLOAD_SPECS = [
                   names=["b", "a", None])]
 
 
+# -- draws of other shapes ---------------------------------------------------
+#
+# The library's samplers have one fixed shape.  These take the shape as
+# arguments and make the same calls on rng, in the same order, so that at
+# the library's shape they draw what the library draws.
+
+def draw_poly(rng, nvars, max_terms=3, max_degree=2):
+    """`sampling.random_poly` with 1 to max_terms terms of degree at most
+    max_degree."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+        if sum(exps) > max_degree:
+            exps = (0,) * nvars
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if coeff:
+            terms[exps] = terms.get(exps, 0) + coeff
+    return BasePoly(nvars, terms)
+
+
+def draw_element(rng, spec, max_terms, max_word, max_degree=2, homogeneous=False):
+    """`sampling.random_element`, or `random_homogeneous` when homogeneous,
+    with 1 to max_terms terms on words of length at most max_word, each
+    times a `draw_poly` of degree at most max_degree."""
+    words = spec.words_up_to(max_word)
+    if homogeneous:
+        target = spec.word_degree(words[rng.randrange(len(words))])
+        words = [w for w in words if spec.word_degree(w) == target]
+    return GradedElement(spec, [
+        (words[rng.randrange(len(words))], draw_poly(rng, spec.nvars, max_degree=max_degree))
+        for _ in range(rng.randint(1, max_terms))])
+
+
 # -- independent oracles -----------------------------------------------------
 
 def rich_int_spec(truncation=5):
@@ -73,25 +106,22 @@ def rich_int_spec(truncation=5):
 
 def random_degree0_image(rng, spec, mu):
     """x_mu plus a nilpotent degree-zero tail."""
-    from monograde.sampling import random_poly
     zero = spec.grading.zero()
     pool = [w for w in spec.words_up_to(3)
             if sum(w) > 0 and spec.word_degree(w) == zero]
     img = GradedElement.variable(spec, mu)
     for _ in range(rng.randint(0, 2)):
         w = pool[rng.randrange(len(pool))]
-        img = img + GradedElement(spec, {w: random_poly(rng, spec.nvars,
-                                                        max_degree=1)})
+        img = img + GradedElement(spec, {w: draw_poly(rng, spec.nvars, max_degree=1)})
     return img
 
 
 def random_gen_image(rng, spec, degree):
     """A nonzero homogeneous element of the given degree."""
-    from monograde.sampling import random_poly
     pool = [w for w in spec.words_up_to(3) if spec.word_degree(w) == degree
             and sum(w) > 0]
     items = [(pool[rng.randrange(len(pool))],
-              random_poly(rng, spec.nvars, max_degree=1))
+              draw_poly(rng, spec.nvars, max_degree=1))
              for _ in range(rng.randint(1, 2))]
     e = GradedElement(spec, items)
     return e if not e.is_zero() else GradedElement(spec, {pool[0]: 1})

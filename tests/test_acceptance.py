@@ -20,15 +20,14 @@ from monograde import (BasePoly, Derivation, DomainSpec, FiniteTable,
 from monograde.cli import main
 from monograde.grading import (EXAMPLE_TABLE3, EXAMPLE_TABLE3_PARITY,
                                KGroupElement, k_add, k_eq)
-from monograde.sampling import (random_element, random_homogeneous,
-                                random_poly)
+from monograde.sampling import random_element, random_homogeneous, random_poly
 from monograde.structure import (adic_order, all_cancellative_tables,
                                  check_lie_axioms, check_parity_cardinality,
                                  k_normalize, parity_functions_of_table,
                                  split_model, taylor_truncate)
 
-from helpers import (qk_model, random_endomorphism, random_invertible_matrix,
-                     rich_int_spec, taylor_sum_oracle)
+from helpers import (draw_element, draw_poly, qk_model, random_endomorphism,
+                     random_invertible_matrix, rich_int_spec, taylor_sum_oracle)
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -65,7 +64,7 @@ def test_criterion_02_inversion():
     spec = GeneratorSpec(IntPower(1), 3, [1, 1, -1, 2, -2, 2], truncation=6)
     rng = Random(102)
     for _ in range(200):
-        f = random_element(rng, spec, max_terms=3, max_word=3, max_degree=2)
+        f = random_element(rng, spec)
         c = Fraction(rng.randint(1, 6), rng.randint(1, 3))
         if rng.random() < 0.5:
             c = -c
@@ -73,7 +72,7 @@ def test_criterion_02_inversion():
         assert f * f.invert() == GradedElement.one(spec)
     rejected = 0
     for k in range(50):
-        f = random_element(rng, spec, max_terms=3, max_word=3, max_degree=2)
+        f = random_element(rng, spec)
         f = f - GradedElement.scalar(spec, f.body())
         if k % 2:
             f = f + GradedElement.variable(spec, 1)  # non-constant body
@@ -145,12 +144,12 @@ def test_criterion_05_pullbacks_are_ring_maps():
     for m in morphisms:
         assert m.pullback(one) == one
         for _ in range(400):
-            f = random_element(rng, spec, max_terms=2, max_word=2, max_degree=1)
-            h = random_element(rng, spec, max_terms=2, max_word=2, max_degree=1)
+            f = draw_element(rng, spec, 2, 2, max_degree=1)
+            h = draw_element(rng, spec, 2, 2, max_degree=1)
             assert m.pullback(f + h) == m.pullback(f) + m.pullback(h)
             assert m.pullback(f * h) == m.pullback(f) * m.pullback(h)
         for _ in range(40):
-            f = random_homogeneous(rng, spec, max_terms=2, max_word=2)
+            f = draw_element(rng, spec, 2, 2, homogeneous=True)
             pf = m.pullback(f)
             if not pf.is_zero():
                 assert pf.is_homogeneous() and pf.degree() == f.degree()
@@ -159,7 +158,7 @@ def test_criterion_05_pullbacks_are_ring_maps():
         comp = compose(phi, psi)
         under = phi.underlying_map()
         for _ in range(20):
-            f = random_element(rng, spec, max_terms=2, max_word=2, max_degree=1)
+            f = draw_element(rng, spec, 2, 2, max_degree=1)
             assert comp.pullback(f) == phi.pullback(psi.pullback(f))
             assert phi.pullback(f).body() == f.body().compose(under)
     print("PASS criterion 5: 10 random morphisms are unital degree-preserving "
@@ -171,19 +170,19 @@ def test_criterion_06_continuation_against_two_oracles():
     spec = rich_int_spec()
     rng = Random(106)
     for _ in range(100):
-        g = random_poly(rng, 1, max_terms=4, max_degree=3)
-        plain = random_poly(rng, 1, max_terms=3, max_degree=2)
+        g = draw_poly(rng, 1, max_terms=4, max_degree=3)
+        plain = random_poly(rng, 1)
         got = continuation(g, [GradedElement.scalar(spec, plain)])
         assert got == GradedElement.scalar(spec, g.compose([plain]))
     zero_deg = spec.grading.zero()
     pool = [w for w in spec.words_up_to(3)
             if sum(w) > 0 and spec.word_degree(w) == zero_deg]
     for _ in range(100):
-        g = random_poly(rng, 1, max_terms=3, max_degree=3)
+        g = draw_poly(rng, 1, max_degree=3)
         img = GradedElement.variable(spec, 1)
         for _ in range(rng.randint(1, 2)):
             w = pool[rng.randrange(len(pool))]
-            img = img + GradedElement(spec, {w: random_poly(rng, 1, max_degree=1)})
+            img = img + GradedElement(spec, {w: draw_poly(rng, 1, max_degree=1)})
         assert continuation(g, [img]) == taylor_sum_oracle(g, [img], spec)
     print("PASS criterion 6: continuation equals polynomial composition "
           "(100 plain images) and the explicit Taylor sum (100 nilpotent "
@@ -194,7 +193,7 @@ def test_criterion_07_polynomial_jets():
     spec = GeneratorSpec(NatPower(1), 2, [1, 1, 2], truncation=6)
     rng = Random(107)
     for _ in range(100):
-        f = random_element(rng, spec, max_terms=3, max_word=3, max_degree=3)
+        f = draw_element(rng, spec, 3, 3, max_degree=3)
         p = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
         k = rng.randint(0, 4)
         jet = taylor_truncate(f, p, k)
@@ -219,7 +218,7 @@ def _random_derivation(rng, dom, degree):
         if not pool or rng.random() < 0.25:
             return GradedElement.zero(spec)
         w = pool[rng.randrange(len(pool))]
-        poly = random_poly(rng, spec.nvars, max_terms=2, max_degree=2)
+        poly = draw_poly(rng, spec.nvars, max_terms=2)
         value = GradedElement(spec, {w: poly})
         return value
 

@@ -426,14 +426,31 @@ WORD_SUM = "(th[2,1]+th[2,2]+th[2,3]+th[2,4]+1)^%d"
 TRUNCATION = "truncation is more than 256, the limit for a session"
 VARS = "domain 'U': vars is more than 1000, the limit for a domain"
 TERMS = "a power may have more than 2000 terms, the limit for an exponent (at position 36)"
-PAIRS = ("a substitution needs a product of more than 262144 pairs of terms, "
-         "the limit for a product")
+PAIRS = "a product needs more than 262144 pairs of terms, the limit for a product"
 # x1 -> a sum of 512 (513) monomials: the square of the image is a product
 # of 262144 (263169) pairs of terms
 SUM_512 = " + ".join("x1^%d" % k for k in range(512))
 SUM_512_SQUARED = " + ".join(
     ("%d*" % c if c > 1 else "") + ("x1^%d" % k if k > 1 else "x1")
     for k in range(1022, 0, -1) for c in [min(k, 1022 - k) + 1]) + " + 1"
+# a derivation D on one variable and one generator a, with D(a) a sum of 513
+# monomials times a: applied to a term whose coefficient has 512, the
+# derivation of its word times that coefficient is 262656 pairs of terms
+SUM_512_DERIVATION = {
+    "format": 1, "grading": {"kind": "nat_power", "k": 1},
+    "domains": {"U": {"vars": 1, "generators": [{"degree": 1, "name": "a"}]}},
+    "derivations": {"D": {"domain": "U", "degree": 0, "base_values": ["0"],
+                          "generator_values": ["(%s + x1^512)*a" % SUM_512]}}}
+# K(x1) = w and K(w) = w^2 with w even: the tower x1, w, w^2/2, ... w^p/p
+# ends only at the truncation order 100, past the bound of 64 entries
+ENDLESS_TOWER = {
+    "format": 1, "grading": {"kind": "int_power", "k": 2}, "options": {"truncation": 100},
+    "domains": {"U": {"vars": 1, "generators": [{"degree": [1, -1], "name": "w"}]}},
+    "derivations": {
+        "Q": {"domain": "U", "degree": [1, 0], "base_values": ["0"], "generator_values": ["0"]},
+        "d": {"domain": "U", "degree": [1, 0], "base_values": ["0"], "generator_values": ["0"]},
+        "K": {"domain": "U", "degree": [1, -1], "base_values": ["w"],
+              "generator_values": ["w^2"]}}}
 def cyclic_table_session(n):
     """Z_n as a finite table with its product, parity the residue mod 2."""
     return {"format": 1, "grading": {
@@ -448,7 +465,8 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
 
 
 # (session data, argv, error text) of runs past a limit: a number too long
-# to print, a range check past its budget, a descent tower past its bound
+# to print, a range check or a product past its budget, a descent tower
+# past its bound
 @pytest.mark.parametrize("data, argv, message", [
     (TWO_CHARTS, ("normalize", "x1^%s*x1^%s" % (N, N), "--domain", "U"), PRINTING),
     (shift_image_session("x1^" + N), ("pullback", "shift", "f"), PRINTING),
@@ -465,10 +483,15 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
     (open_session(["(x1 + x2 + x3 + 1)^20", "x2", "x3"], 3), ("compose", "m", "m"), PAIRS),
     (open_session(["(x1 + x2 + x3 + 1)^20", "x2", "x3"], 3), ("pullback", "m", "x1^20"), PAIRS),
     (open_session([SUM_512 + " + x1^512"], 1), ("pullback", "m", "x1^2"), PAIRS),
+    # a product in an expression, and the derivation of a word times its
+    # coefficient: these products had no limit
+    (SUM_512_DERIVATION, ("normalize", "(%s + x1^512)*(%s)" % (SUM_512, SUM_512)), PAIRS),
+    (SUM_512_DERIVATION, ("apply", "D", "(%s)*a" % SUM_512), PAIRS),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "65"),
      "pmax is more than 64, the limit for a descent tower"),
     (QK_MODEL, ("descent", "Q", "K", "d", "obs", "--pmax", "100000000"),
      "pmax is more than 64, the limit for a descent tower"),
+    (ENDLESS_TOWER, ("descent", "Q", "K", "d", "x1"), "sequence did not terminate; supply pmax"),
     (geometric_session(truncation=257), ("invert", "f"), TRUNCATION),
     (geometric_session(truncation=100000), ("invert", "f"), TRUNCATION),
     (geometric_session(nvars=1001), ("invert", "f"), VARS),
@@ -480,7 +503,7 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
 ], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
         "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
         "range-samples", "composite-degree", "composite-pairs", "pullback-pairs", "product-pairs",
-        "pmax", "pmax-huge", "truncation", "truncation-huge", "vars", "vars-huge", "word-power",
+        "expression-pairs", "coefficient-pairs", "pmax", "pmax-huge", "endless-tower", "truncation", "truncation-huge", "vars", "vars-huge", "word-power",
         "word-power-huge", "table-order"])
 def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
     start = time.perf_counter()

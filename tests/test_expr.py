@@ -185,7 +185,7 @@ FUZZ_SPECS = (
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14), st.sampled_from(FUZZ_SPECS))
 def test_token_sequences_parse_back_or_raise_expr_error(tokens, spec):
     try:
@@ -245,7 +245,7 @@ def atom_runs(draw):
     return spec, "*".join(texts), factors
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600, derandomize=True, deadline=None)
 @given(atom_runs())
 def test_atom_runs_equal_the_left_to_right_product(run):
     spec, text, factors = run

@@ -4,6 +4,9 @@ These stand in for the smooth functions on the base of a graded domain:
 being polynomial keeps every derivative, every Taylor expansion, and every
 substitution a finite exact computation, so the algebraic identities of the
 graded layer can be asserted with `==` instead of tolerances.
+
+`monomial_image` is the one substitution rule: `BasePoly.compose` and the
+pullbacks of `morphism` map each monomial or generator word through it.
 """
 
 from __future__ import annotations
@@ -191,17 +194,12 @@ class BasePoly:
         m = replacements[0].nvars
         if any(r.nvars != m for r in replacements):
             raise ValueError("replacements disagree on variable count")
+        one = BasePoly.const(m, 1)
+        images: dict = {}
         acc: dict = {}
-        powers: dict = {}
         for exps, coeff in self.terms.items():
-            term = BasePoly.const(m, coeff)
-            for mu, e in enumerate(exps):
-                if e:
-                    power = powers.get((mu, e))
-                    if power is None:
-                        power = powers[(mu, e)] = replacements[mu] ** e
-                    term = term * power
-            add_terms(acc, term.terms)
+            add_product(acc, {(0,) * m: coeff},
+                        monomial_image(replacements, images, exps, one).terms)
         return BasePoly._raw(m, strip_zeros(acc))
 
 def power(x, k: int, one):
@@ -217,6 +215,21 @@ def power(x, k: int, one):
         if not k:
             return one if result is None else result
         x = x * x
+
+
+def monomial_image(images, cache: dict, exps, one):
+    """The image of the monomial with exponent vector exps when images[k]
+    replaces its k-th factor: the product of images[k] ** e over the
+    nonzero e, left to right, or `one` when there is none.  Memoized in
+    cache under exps."""
+    image = cache.get(exps)
+    if image is None:
+        for k, e in enumerate(exps):
+            if e:
+                p = power(images[k], e, one)
+                image = p if image is None else image * p
+        image = cache[exps] = one if image is None else image
+    return image
 
 
 # -- exact evaluation in integers -------------------------------------------------

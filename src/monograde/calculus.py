@@ -15,7 +15,7 @@ from functools import cache
 from random import Random
 
 from .basecoeff import BasePoly
-from .galgebra import GradedElement, TermSum
+from .galgebra import GradedElement, TermSum, word_count
 from .grading import (IntPower, KGroupElement, NatPower, k_add, k_element,
                       k_eq, k_mul, k_parity)
 from .morphism import DomainSpec
@@ -224,10 +224,9 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
     _require_degree(grading, d, (1, 0), (0, 0), "d")
 
     rep = CheckReport("qk structure check")
-    words = spec.words_up_to(max_word)
     monomials = [BasePoly._raw(spec.nvars, {e: Fraction(1)})
                  for e in _exponents_up_to(spec.nvars, 2)]
-    count = len(words) * len(monomials) + samples
+    count = word_count(spec.parities, min(max_word, spec.truncation)) * len(monomials) + samples
 
     @cache
     def probes():
@@ -235,7 +234,7 @@ def qk_verify(Q: Derivation, K: Derivation, d: Derivation, max_word: int = 4,
         # sample draws its word, then its coefficient
         rng = Random(seed)
         return [("monomial", GradedElement._raw(spec, {w: mono}))
-                for w in words for mono in monomials] + [
+                for w in spec.words_up_to(max_word) for mono in monomials] + [
             ("sample", GradedElement(spec, {random_word(rng, spec, max_word):
                                             random_poly(rng, spec.nvars)}))
             for _ in range(samples)]

@@ -34,10 +34,11 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb, lcm, log10
+from math import lcm, log10
 
 from .basecoeff import BasePoly, add_product, add_terms
-from .galgebra import NAME_PATTERN, GeneratorSpec, GradedElement, TermSum, _word_product
+from .galgebra import (NAME_PATTERN, GeneratorSpec, GradedElement, TermSum, _word_product,
+                       word_count)
 from .grading import FiniteTable, GradingError, NatPower, format_number
 
 
@@ -237,10 +238,8 @@ class _Parser:
             return base
         spec, polys = self.spec, base.terms.values()
         gens = {g for beta in base.terms for g, k in enumerate(beta) if k}
-        odd = sum(spec.parities[g] for g in gens)
-        even = len(gens) - odd
-        n = min(e * max(map(sum, base.terms), default=0), spec.truncation)
-        words = sum(comb(odd, j) * comb(n - j + even, even) for j in range(min(odd, n) + 1))
+        words = word_count([spec.parities[g] for g in gens],
+                           min(e * max(map(sum, base.terms), default=0), spec.truncation))
         self.check_power([c for p in polys for c in p.terms.values()],
                          max((p.degree() for p in polys), default=0), spec.nvars, words, e, at)
         return base if e == 1 else base ** e

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .basecoeff import BasePoly, add_product, add_terms, power, strip_zeros
 from .grading import GradingSpec
@@ -38,6 +39,12 @@ NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 # factors make more than MAX_PRODUCT_PAIRS pairs, at about 3 us a pair (0.8 s
 # at the limit, 2-vCPU VM, Python 3.11); the benchmark's make at most 5184.
 MAX_PRODUCT_PAIRS = 1 << 18
+
+# A list of words is refused before it is built when it would hold more
+# than MAX_WORDS words; the benchmark's lists hold at most 120.  At the
+# limit, a qk-verify that probes every word over one variable takes
+# 2.5-3.6 s (2-vCPU VM, Python 3.11).
+MAX_WORDS = 1 << 13
 
 
 class AlgebraError(ValueError):
@@ -167,11 +174,15 @@ class GeneratorSpec:
         return (len(occ), tuple(occ))
 
     def words_up_to(self, max_len: int):
-        """All admissible exponent vectors of word length <= max_len."""
+        """All admissible exponent vectors of word length <= max_len, in
+        canonical term order; refused past MAX_WORDS before any is built."""
         max_len = min(max_len, self.truncation)
         cached = self._word_cache.get(max_len)
         if cached is not None:
             return cached
+        if word_count(self.parities, max_len) > MAX_WORDS:
+            raise AlgebraError("there are more than %d words of length at most %d, the "
+                               "limit for a list of words" % (MAX_WORDS, max_len))
         words = []
 
         def walk(pos, remaining, prefix):
@@ -205,6 +216,17 @@ class GeneratorSpec:
         return "GeneratorSpec(%r, nvars=%d, degrees=%r, truncation=%d)" % (
             self.grading, self.nvars,
             [g.degree for g in self.generators], self.truncation)
+
+
+def word_count(parities, max_len: int) -> int:
+    """The number of admissible words of length at most the natural number
+    max_len over generators of these parities: j of the odd ones once
+    each, then comb(r + b, b) ways to spread at most r = max_len - j over
+    the b even ones."""
+    odd = sum(parities)
+    even = len(parities) - odd
+    return sum(comb(odd, j) * comb(max_len - j + even, even)
+               for j in range(min(odd, max_len) + 1))
 
 
 def _word_product(spec: GeneratorSpec, beta, gamma):

@@ -3,9 +3,11 @@
 A morphism is given entirely by coordinate images: one degree-0 element per
 target base coordinate and one homogeneous element per target generator.
 Pulling back an arbitrary element substitutes those images, extending base
-coefficients through `continuation`.  Underlying point maps, homomorphism
-property runs and atlas cocycle checking live here; the split-model
-constructor from graded vector-bundle data is in `structure`.
+coefficients through `continuation`; the image of each base monomial and
+generator word (`basecoeff.monomial_image`) is cached on the morphism.
+Underlying point maps, homomorphism property runs and atlas cocycle
+checking live here; the split-model constructor from graded vector-bundle
+data is in `structure`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .basecoeff import BasePoly, integer_form, integer_point, integer_value
+from .basecoeff import BasePoly, integer_form, integer_point, integer_value, monomial_image
 from .galgebra import GeneratorSpec, GradedElement, TermSum
 from .grading import format_number
 from .reporting import CheckReport
@@ -139,27 +141,13 @@ def continuation(g: BasePoly, images) -> GradedElement:
     return _substitute(g, spec, images, {})
 
 
-def _power(images, cache: dict, i: int, e: int) -> GradedElement:
-    """images[i] ** e, memoized in cache under (i, e)."""
-    p = cache.get((i, e))
-    if p is None:
-        p = cache[(i, e)] = images[i] ** e
-    return p
-
-
 def _substitute(g: BasePoly, spec: GeneratorSpec, images, cache: dict) -> GradedElement:
     """g evaluated on checked degree-0 images, summed in one pass, with the
-    images' powers memoized in cache."""
+    images of its monomials memoized in cache."""
     total = TermSum(spec)
+    one = GradedElement.one(spec)
     for exps, coeff in g.terms.items():
-        term = None
-        for mu, e in enumerate(exps):
-            if e:
-                p = _power(images, cache, mu, e)
-                term = p if term is None else term * p
-        if term is None:
-            term = GradedElement.one(spec)
-        total.add(term, BasePoly.const(spec.nvars, coeff))
+        total.add(monomial_image(images, cache, exps, one), BasePoly.const(spec.nvars, coeff))
     return total.element()
 
 
@@ -182,8 +170,8 @@ class Morphism:
     from `seed`, within the range-check budget and only when the target
     box has a bound, and a violation is a hard error; `restrict` and
     `compose` reuse this sampling policy.  The images are never changed
-    after construction, so the powers that `pullback` raises them to are
-    cached on the morphism.
+    after construction, so the images of the base monomials and generator
+    words that `pullback` substitutes them into are cached on the morphism.
     """
 
     def __init__(self, source: DomainSpec, target: DomainSpec, base_images,
@@ -221,8 +209,8 @@ class Morphism:
         self.gen_images = gen_images
         self.samples = samples
         self.seed = seed
-        self._base_powers: dict = {}
-        self._gen_powers: dict = {}
+        self._monomials: dict = {}
+        self._words: dict = {}
         _check_range(self, target.box, samples, seed,
                      "range condition fails: point %s maps to %s outside the target box")
 
@@ -239,19 +227,14 @@ class Morphism:
         if f.spec != self.target.genspec:
             raise MorphismError("element does not live over the morphism's target")
         src = self.source.genspec
+        one = GradedElement.one(src)
         total = TermSum(src)
         for beta, poly in f.terms.items():
-            term = _substitute(poly, src, self.base_images, self._base_powers)
-            powers = [_power(self.gen_images, self._gen_powers, pos, e)
-                      for pos, e in enumerate(beta) if e]
-            if not powers:
+            term = _substitute(poly, src, self.base_images, self._monomials)
+            if any(beta):
+                total.add_product(term, monomial_image(self.gen_images, self._words, beta, one))
+            else:
                 total.add(term)
-                continue
-            # multiply left to right, as the term is written, and let the
-            # last product land in the sum directly
-            for p in powers[:-1]:
-                term *= p
-            total.add_product(term, powers[-1])
         return total.element()
 
     def underlying_map(self):

@@ -168,12 +168,15 @@ def _exprs(entry: dict, field: str, spec: GeneratorSpec, what: str) -> list:
 
 # Bounds checked before any word, exponent or degree tuple is built.  At
 # them, on geometric.json, `invert g` takes 0.5 s at truncation 256 and
-# `invert f` 0.24 s over 1000 variables, as over none; a grading of
+# `invert f` 0.24 s over 1000 variables, as over none; `check-monoid`
+# loads a domain of 500 generators, whose spec holds a sign bit per pair,
+# in 0.6 s (quadratic in the count: 2.2 s at 1000); a grading of
 # 100,000 components makes `check-monoid` a 0.2-0.5 s process, and a
 # finite table of 128 elements with a product table is validated in
 # 0.2-0.4 s (cubic in the order: 0.85-1.45 s at 200; 2-vCPU VM).
 MAX_TRUNCATION = 256
 MAX_VARS = 1000
+MAX_GENERATORS = 500
 MAX_COMPONENTS = 100_000
 MAX_TABLE_ORDER = 128
 
@@ -241,6 +244,9 @@ def load_session(source, truncation: int | None = None, seed: int | None = None,
                 raise SessionError("%s: vars is more than %d, the limit for a domain"
                                    % (what, MAX_VARS))
             gens = _list(entry, "generators", what)
+            if len(gens) > MAX_GENERATORS:
+                raise SessionError("%s: more than %d generators, the limit for a domain"
+                                   % (what, MAX_GENERATORS))
             degrees = [_degree(s.grading, g["degree"]) for g in gens]
             spec = GeneratorSpec(s.grading, nvars, degrees, truncation=s.truncation,
                                  names=[g.get("name") for g in gens])

@@ -427,6 +427,8 @@ TRUNCATION = "truncation is more than 256, the limit for a session"
 VARS = "domain 'U': vars is more than 1000, the limit for a domain"
 TERMS = "a power may have more than 2000 terms, the limit for an exponent (at position 36)"
 PAIRS = "a product needs more than 262144 pairs of terms, the limit for a product"
+WORDS = "there are more than 8192 words of length at most %d, the limit for a list of words"
+GENERATORS = "domain 'U': more than 500 generators, the limit for a domain"
 # x1 -> a sum of 512 (513) monomials: the square of the image is a product
 # of 262144 (263169) pairs of terms
 SUM_512 = " + ".join("x1^%d" % k for k in range(512))
@@ -451,6 +453,33 @@ ENDLESS_TOWER = {
         "d": {"domain": "U", "degree": [1, 0], "base_values": ["0"], "generator_values": ["0"]},
         "K": {"domain": "U", "degree": [1, -1], "base_values": ["w"],
               "generator_values": ["w^2"]}}}
+
+
+def qk_words_session(degree, k_value):
+    """Four generators of one degree [a, b] over one variable at truncation
+    80, with Q and d zero and K(theta) = k_value for each generator: a
+    qk-verify at --max-word 1000 ranges over comb(84, 4) = 1929501 words."""
+    gens = [{"degree": degree}] * 4
+    grading = "int_power" if min(degree) < 0 else "nat_power"
+
+    def field(deg, values):
+        return {"domain": "U", "degree": deg, "base_values": ["0"], "generator_values": values}
+    return {"format": 1, "grading": {"kind": grading, "k": 2}, "options": {"truncation": 80},
+            "domains": {"U": {"vars": 1, "generators": gens}},
+            "derivations": {"Q": field([0, 1], ["0"] * 4), "d": field([1, 0], ["0"] * 4),
+                            "K": field({"pos": [1, 0], "neg": [0, 1]}, [k_value] * 4)}}
+
+
+def identity_session(ngens, degree=2):
+    """The identity `m` of a domain of ngens generators of one degree,
+    range-checked and homomorphism-checked on one sample."""
+    return {"format": 1, "grading": {"kind": "nat_power", "k": 1}, "options": {"samples": 1},
+            "domains": {"U": {"vars": 1, "generators": [{"degree": degree}] * ngens}},
+            "morphisms": {"m": {"source": "U", "target": "U", "base_images": ["x1"],
+                                "generator_images": ["th[%d,%d]" % (degree, i + 1)
+                                                     for i in range(ngens)]}}}
+
+
 def cyclic_table_session(n):
     """Z_n as a finite table with its product, parity the residue mod 2."""
     return {"format": 1, "grading": {
@@ -500,11 +529,21 @@ IDENTITY = ["x%d" % (mu + 1) for mu in range(11)]
     (EVEN_WORDS, ("normalize", WORD_SUM % 60, "--domain", "U"), TERMS),
     (cyclic_table_session(129), ("check-monoid",),
      "table order is more than 128, the limit for a grading"),
+    # every word was built, however many: 1929501 for qk-verify, whose K
+    # lowers word length, so that every word is probed, and comb(303, 3)
+    # for check-hom's probes (this run did not end in 60 s)
+    (qk_words_session([-1, 1], "1"), ("qk-verify", "Q", "K", "d", "--max-word", "1000"),
+     WORDS % 80),
+    (identity_session(300), ("check-hom", "m"), WORDS % 3),
+    # the spec of a domain holds a sign bit per pair of generators
+    (identity_session(501), ("check-monoid",), GENERATORS),
+    (identity_session(100_000), ("check-monoid",), GENERATORS),
 ], ids=["exponent-sum", "pullback-exponent", "bracket-degree", "derivation-degree",
         "range-violation-point", "atlas-failure-point", "range-bits", "range-grid",
         "range-samples", "composite-degree", "composite-pairs", "pullback-pairs", "product-pairs",
         "expression-pairs", "coefficient-pairs", "pmax", "pmax-huge", "endless-tower", "truncation", "truncation-huge", "vars", "vars-huge", "word-power",
-        "word-power-huge", "table-order"])
+        "word-power-huge", "table-order", "qk-words", "sample-words", "generators",
+        "generators-huge"])
 def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, message):
     start = time.perf_counter()
     with int_digit_limit(4300):
@@ -536,9 +575,16 @@ def test_a_run_past_a_limit_is_an_input_error(tmp_path, capsys, data, argv, mess
     ({"format": 1, "grading": {"kind": "nat_power", "k": 100_000}, "domains": {"U": {"vars": 1}}},
      ("normalize", "x1 + 1"), "x1 + 1"),
     (cyclic_table_session(128), ("check-monoid",), "monoid kind: finite_table"),
+    # every relation is decided on the coordinates: the words are counted,
+    # not built (this run took 10 s and 1.4 GB)
+    (qk_words_session([1, 1], "0"), ("qk-verify", "Q", "K", "d", "--max-word", "1000"),
+     "qk structure check: PASS"),
+    # comb(37, 3) = 7770 words of length at most 3
+    (identity_session(34), ("check-hom", "m"), "homomorphism check: PASS"),
+    (identity_session(500), ("check-monoid",), "monoid kind: nat_power"),
 ], ids=["exponent-sum", "bracket-degree", "range-bits", "range-grid", "range-samples",
         "composite-degree", "composite-monomial", "product-pairs", "pmax", "truncation", "vars",
-        "grading-components", "table-order"])
+        "grading-components", "table-order", "qk-words", "sample-words", "generators"])
 def test_a_run_just_within_a_limit_succeeds(tmp_path, capsys, data, argv, first_line):
     with int_digit_limit(4300):
         code, out, err = run_session(tmp_path, capsys, data, *argv)

@@ -1,6 +1,7 @@
 """Normal forms, graded arithmetic, body, inversion, jets."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from monograde import (AlgebraError, BasePoly, GeneratorSpec, GradedElement,
                        IntPower, NatPower, NotInvertible, Z2Power, parse_element,
                        render_element)
-from monograde.galgebra import Generator, TermSum
+from monograde.galgebra import MAX_WORDS, Generator, TermSum, word_count
 from monograde.sampling import random_element, random_homogeneous, random_poly
 from monograde.structure import adic_order, eval_at, homogeneous_part, taylor_truncate
 
@@ -135,6 +136,21 @@ def test_generator_is_a_plain_value():
     assert repr(g) == "Generator(degree=1, index=2, name='t')"
     with pytest.raises(AttributeError):
         g.index = 3
+
+
+@pytest.mark.parametrize("spec", WORKLOAD_SPECS)
+def test_words_are_counted_before_they_are_built(spec):
+    # every exponent vector within the length, an odd generator at most once
+    for max_len in range(spec.truncation + 1):
+        oracle = {beta for beta in product(*[range(2 if odd else max_len + 1)
+                                             for odd in spec.parities])
+                  if sum(beta) <= max_len}
+        words = spec.words_up_to(max_len)
+        assert set(words) == oracle and len(words) == word_count(spec.parities, max_len)
+    past = GeneratorSpec(NatPower(1), 0, [2] * 4, truncation=60)
+    assert word_count(past.parities, 60) > MAX_WORDS
+    with pytest.raises(AlgebraError, match="more than %d words" % MAX_WORDS):
+        past.words_up_to(60)
 
 
 def test_products_match_raw_word_oracle():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from monograde import (BasePoly, CyclicProduct, DomainSpec, Derivation,
                        GeneratorSpec, GradedElement, IntPower, Morphism,
-                       NatPower, NotInvertible)
+                       NatPower, NotInvertible, compose)
 from monograde.grading import KGroupElement
 from monograde.sampling import random_poly
 
@@ -160,13 +160,20 @@ def endomorphism(rng, spec):
 def test_pullback_matches_validated_construction(data, k, seed):
     spec = SPECS[k]
     m = endomorphism(Random(seed), spec)
-    f = data.draw(elements(spec))
-    g = data.draw(elements(spec))
-    first = m.pullback(f)
-    assert_trusted(first, pullback_by_terms(m, f))
-    assert_trusted(m.pullback(g), pullback_by_terms(m, g))
-    # the image powers are now cached; the answer must not change
-    assert m.pullback(f) == first
+    draws = [data.draw(elements(spec)) for _ in range(3)]
+    # one morphism pulls back the draws in turn, so each later pullback
+    # reads the monomial and word images that earlier ones cached
+    pulled = [m.pullback(f) for f in draws]
+    for f, pf in zip(draws, pulled):
+        assert_trusted(pf, pullback_by_terms(m, f))
+    # compose pulls m's own images back through m, caches warm; a freshly
+    # built morphism must give every result again
+    composite = compose(m, m)
+    fresh = endomorphism(Random(seed), spec)
+    assert composite == compose(fresh, fresh)
+    for f, pf in zip(draws, pulled):
+        assert m.pullback(f) == pf == endomorphism(Random(seed), spec).pullback(f)
+        assert composite.pullback(f) == m.pullback(pf)
 
 
 def derivations(spec):

@@ -89,6 +89,22 @@ MUTANTS = [
      "the product budget of an element times a base polynomial: `apply` of a derivation whose "
      "word derivative times the coefficient makes 262656 pairs would run past the limit",
      None),
+    ("image-memo-key", "basecoeff.py",
+     "image = cache.get(exps)\n    if image is None:\n        for k, e in enumerate(exps):\n"
+     "            if e:\n                p = power(images[k], e, one)\n"
+     "                image = p if image is None else image * p\n"
+     "        image = cache[exps] =",
+     "image = cache.get(exps[:-1])\n    if image is None:\n        for k, e in enumerate(exps):\n"
+     "            if e:\n                p = power(images[k], e, one)\n"
+     "                image = p if image is None else image * p\n"
+     "        image = cache[exps[:-1]] =",
+     "the memo of monomial and word images keyed without the last exponent: monomials "
+     "or words that differ only there would share one image, x1*x2 that of x1", None),
+    ("image-factor-order", "basecoeff.py",
+     "image = p if image is None else image * p",
+     "image = p if image is None else p * image",
+     "the left-to-right order of a word's image: the images of two odd generators would "
+     "be multiplied with the opposite sign", None),
     ("homomorphism-degree", "morphism.py",
      "lambda h, ph: ph.degrees() <= h.degrees()",
      "lambda h, ph: True",
